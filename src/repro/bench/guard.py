@@ -4,9 +4,8 @@ The experiment benches under ``benchmarks/`` measure *shapes* (doubling
 series, locality defects); this module is the *trajectory* side: a fixed
 set of guard scenarios — mirroring ``bench_e1_doubling``,
 ``bench_e5_tc_cycles`` and ``bench_micro_core_ops`` at their default
-sizes, plus a ``parallel_equivalence`` tripwire pinning the parallel
-round executor to the sequential engine's checksums — is timed into a
-canonical JSON document (see
+sizes, plus equivalence tripwires pinning each alternative engine to
+its reference — is timed into a canonical JSON document (see
 :func:`repro.bench.reporting.validate_bench_document` for the schema) and
 compared against a committed baseline.
 
@@ -136,62 +135,6 @@ def _run_micro_core_ops(quick: bool) -> list[int]:
     ]
 
 
-_PARALLEL_WORKERS = 4
-_LAST_PARALLEL: dict | None = None
-
-
-def _run_parallel_equivalence(quick: bool) -> dict:
-    """Parallel == sequential tripwire on the e5 workload (T_c cycles).
-
-    Chases the transitive-closure theory of Example 42 over an E-cycle
-    twice — in-process and with ``workers=_PARALLEL_WORKERS`` — and
-    checksums both results.  The compared ``value`` carries the atom
-    count, a round-for-round equality bit and a content checksum, all of
-    which are executor-independent by construction (see
-    :mod:`repro.chase.parallel`); any drift between the two executors or
-    against the baseline fails the guard.  The measured wall-clock
-    speedup is hardware-dependent, so it is reported in the document's
-    ``meta["parallel"]`` (see :func:`run_guard_scenarios`) rather than
-    compared: on a single-CPU runner the parallel run is *slower* (the
-    processes time-slice one core and pay the pipe protocol), while on a
-    multi-core machine the per-round matching overlaps.
-    """
-    import hashlib
-
-    from ..chase import ChaseBudget, chase
-    from ..workloads import edge_cycle, example42_tc
-
-    global _LAST_PARALLEL
-    theory = example42_tc()
-    length, rounds = (30, 8) if quick else (60, 12)
-    cycle = edge_cycle(length)
-    budget = ChaseBudget(max_rounds=rounds, max_atoms=500_000)
-    started = time.perf_counter()
-    sequential = chase(theory, cycle, budget=budget)
-    sequential_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    parallel = chase(theory, cycle, budget=budget, workers=_PARALLEL_WORKERS)
-    parallel_seconds = time.perf_counter() - started
-    identical = [frozenset(r) for r in sequential.round_added] == [
-        frozenset(r) for r in parallel.round_added
-    ]
-    digest = hashlib.sha256(
-        "\n".join(sorted(repr(item) for item in parallel.instance)).encode("utf8")
-    ).hexdigest()[:16]
-    _LAST_PARALLEL = {
-        "workers": _PARALLEL_WORKERS,
-        "sequential_seconds": round(sequential_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "speedup": (
-            round(sequential_seconds / parallel_seconds, 3) if parallel_seconds else 0.0
-        ),
-        "fallback_inprocess": int(
-            bool(parallel.stats.counters.get("parallel.fallback_inprocess", 0))
-        ),
-    }
-    return {"atoms": len(parallel.instance), "identical": identical, "checksum": digest}
-
-
 _LAST_COLUMNAR: dict | None = None
 
 
@@ -280,7 +223,7 @@ def _run_sql_equivalence(quick: bool) -> dict:
       ``answer(backend="sqlite")`` on a linear theory over the cycle.
 
     Wall-clock splits and ``store.*`` counters are hardware-dependent, so
-    they land in ``meta["storage"]`` (mirroring ``meta["parallel"]``)
+    they land in ``meta["storage"]`` (mirroring ``meta["columnar"]``)
     rather than in the compared value.
     """
     from ..chase import ChaseBudget, chase
@@ -492,13 +435,10 @@ def _run_rewriting_saturation(quick: bool) -> dict:
       reach isomorphic duplicates through different unifier orders (the
       canonical-key dedup absorbs them) and the kept set is large enough
       that the inverted predicate index pays for itself.  This workload
-      is timed three ways — ``use_indexes=False``, the default indexed
-      engine, and ``workers=2`` — and the compared ``value`` carries the
-      disjunct count, a canonical-key checksum, a naive-vs-indexed
-      equality bit, the exact ``rewrite.*`` filter counters and a
-      workers-parity bit (all ``rewrite.*`` counters *and* the disjunct
-      reprs must match the sequential run byte for byte, per
-      :mod:`repro.rewriting.parallel`).
+      is timed two ways — ``use_indexes=False`` and the default indexed
+      engine — and the compared ``value`` carries the disjunct count, a
+      canonical-key checksum, a naive-vs-indexed equality bit and the
+      exact ``rewrite.*`` filter counters.
 
     The naive/indexed wall-clock ratio is hardware-dependent, so it
     lands in ``meta["rewriting"]`` rather than the compared value; the
@@ -557,37 +497,18 @@ def _run_rewriting_saturation(quick: bool) -> dict:
     started = time.perf_counter()
     indexed = rewrite(theory, parse_query(text))
     indexed_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    parallel = rewrite(theory, parse_query(text), RewritingBudget(workers=2))
-    parallel_seconds = time.perf_counter() - started
-
-    def rewrite_counters(result) -> dict:
-        return {
-            name: count
-            for name, count in sorted(result.stats.counters.items())
-            if name.startswith("rewrite.")
-        }
-
-    workers_equal = rewrite_counters(parallel) == rewrite_counters(indexed) and sorted(
-        repr(d) for d in parallel.ucq
-    ) == sorted(repr(d) for d in indexed.ucq)
-    counters = rewrite_counters(indexed)
+    counters = indexed.stats.counters
     # Best-of across the harness's repeats, mirroring the min(runs) the
     # scenario's own seconds get: single-run jitter on a busy machine
     # should not decide the committed before/after ratio.
     if _LAST_REWRITING is not None:
         naive_seconds = min(naive_seconds, _LAST_REWRITING["naive_seconds"])
         indexed_seconds = min(indexed_seconds, _LAST_REWRITING["indexed_seconds"])
-        parallel_seconds = min(parallel_seconds, _LAST_REWRITING["parallel_seconds"])
     _LAST_REWRITING = {
         "naive_seconds": round(naive_seconds, 6),
         "indexed_seconds": round(indexed_seconds, 6),
         "speedup": (
             round(naive_seconds / indexed_seconds, 3) if indexed_seconds else 0.0
-        ),
-        "parallel_seconds": round(parallel_seconds, 6),
-        "fallback_inprocess": int(
-            bool(parallel.stats.counters.get("rwparallel.fallback_inprocess", 0))
         ),
     }
     return {
@@ -596,7 +517,6 @@ def _run_rewriting_saturation(quick: bool) -> dict:
             "disjuncts": len(indexed.ucq),
             "checksum": key_checksum(indexed),
             "naive_equal": key_checksum(naive) == key_checksum(indexed),
-            "workers_equal": workers_equal,
             "subsumption_checks": counters.get("rewrite.subsumption_checks", 0),
             "subsumption_skipped": counters.get("rewrite.subsumption_skipped", 0),
             "dedup_hits": counters.get("rewrite.dedup_hits", 0),
@@ -795,11 +715,6 @@ SCENARIOS: tuple[Scenario, ...] = (
         _run_micro_core_ops,
     ),
     Scenario(
-        "parallel_equivalence",
-        "parallel vs sequential chase on T_c cycles: identical checksums",
-        _run_parallel_equivalence,
-    ),
-    Scenario(
         "columnar_equivalence",
         "columnar hash-join kernel vs object engine: identical chase, exact counters",
         _run_columnar_equivalence,
@@ -853,22 +768,15 @@ def run_guard_scenarios(
     quick: bool = False,
     repeats: int = 3,
     scenarios: tuple[Scenario, ...] = SCENARIOS,
-    workers: int | None = None,
 ) -> dict:
     """Time every scenario and return the canonical BENCH document.
 
-    ``workers`` overrides the process count the ``parallel_equivalence``
-    scenario uses (default 4).  The scenario's compared ``value`` is
-    worker-count-independent; the measured speedup lands in
-    ``meta["parallel"]`` because wall-clock ratios are a property of the
-    machine, not of the code under guard.
+    Wall-clock ratios a scenario measures are a property of the machine,
+    not of the code under guard, so they land in the document's ``meta``
+    rather than in the compared values.
     """
-    global _PARALLEL_WORKERS, _LAST_PARALLEL, _LAST_STORAGE, _LAST_COLUMNAR
+    global _LAST_STORAGE, _LAST_COLUMNAR
     global _LAST_FAULTS, _LAST_REWRITING, _LAST_INCREMENTAL, _LAST_SERVICE
-    saved_workers = _PARALLEL_WORKERS
-    if workers is not None:
-        _PARALLEL_WORKERS = max(2, workers)
-    _LAST_PARALLEL = None
     _LAST_STORAGE = None
     _LAST_COLUMNAR = None
     _LAST_FAULTS = None
@@ -897,8 +805,6 @@ def run_guard_scenarios(
         "machine": platform.machine(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    if _LAST_PARALLEL is not None:
-        meta["parallel"] = dict(_LAST_PARALLEL)
     if _LAST_COLUMNAR is not None:
         meta["columnar"] = dict(_LAST_COLUMNAR)
     if _LAST_STORAGE is not None:
@@ -911,7 +817,6 @@ def run_guard_scenarios(
         meta["incremental"] = dict(_LAST_INCREMENTAL)
     if _LAST_SERVICE is not None:
         meta["service"] = dict(_LAST_SERVICE)
-    _PARALLEL_WORKERS = saved_workers
     document = bench_document(
         mode="quick" if quick else "full",
         calibration_seconds=round(measure_calibration(), 6),

@@ -1,7 +1,7 @@
 """The chase: semi-oblivious Skolem engine, variants, provenance, termination.
 
-Resource limits live on :class:`ChaseBudget` — the ``max_rounds=`` /
-``max_atoms=`` kwargs accepted directly by :func:`chase` are deprecated.
+Resource limits live on :class:`ChaseBudget`; the old ``max_rounds=`` /
+``max_atoms=`` kwargs of :func:`chase` raise ``TypeError`` since 1.2.
 A typical bounded run::
 
     from repro.chase import ChaseBudget, chase
@@ -16,12 +16,6 @@ A typical bounded run::
 ``ChaseBudget(on_exceeded="return")`` (the default) stops cleanly at the
 budget; ``on_exceeded="raise"`` turns the same limit into a
 :class:`ChaseBudgetExceeded`.
-
-``chase(..., workers=N)`` runs each round on a process pool with a
-deterministic merge; results are atom-for-atom identical to the
-sequential engine (Skolem determinism, Observation 8).  See
-``docs/performance.md`` for tuning guidance and the ``parallel.*``
-telemetry counters.
 """
 
 from .explain import DerivationNode, derivation_tree, explain, explain_answer

@@ -142,12 +142,6 @@ class _RunControl:
             return "deadline"
         return None
 
-    def remaining(self) -> float | None:
-        """Seconds left until the deadline, or ``None`` without one."""
-        if self.deadline_at is None:
-            return None
-        return max(0.0, self.deadline_at - time.monotonic())
-
 
 @dataclass(frozen=True)
 class ChaseBudget:
@@ -157,15 +151,6 @@ class ChaseBudget:
     the truncated result with ``terminated=False``, ``'raise'`` throws
     :class:`ChaseBudgetExceeded`.  Instances are frozen so they can be
     shared across runs and stored on sessions.
-
-    ``workers`` is the round executor's process count: ``1`` (the
-    default) evaluates rounds in-process, ``N > 1`` partitions each
-    round's trigger matching across ``N`` worker processes (see
-    :mod:`repro.chase.parallel`) — same result atom-for-atom.
-    ``worker_max_atoms`` optionally caps the atoms any single worker may
-    produce in one round (a per-worker memory guard); an overrun is a
-    budget overrun at round granularity, handled per ``on_exceeded``
-    with the overflowing round left unapplied.
 
     ``deadline_s`` bounds the run by wall clock (monotonic, anchored
     when the run starts): the engine checks it at round boundaries and
@@ -178,17 +163,11 @@ class ChaseBudget:
     max_rounds: int = 50
     max_atoms: int = 200_000
     on_exceeded: str = "return"
-    workers: int = 1
-    worker_max_atoms: int | None = None
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.on_exceeded not in ("return", "raise"):
             raise ValueError("on_exceeded must be 'return' or 'raise'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.worker_max_atoms is not None and self.worker_max_atoms < 1:
-            raise ValueError("worker_max_atoms must be positive when set")
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValueError("deadline_s must be non-negative when set")
 
@@ -468,25 +447,22 @@ class RoundOutcome:
     ``produced`` maps each genuinely new atom to its recorded derivation
     (first producer in the executor's deterministic enumeration order);
     ``matches`` counts every sigma applied, ``dedup_hits`` every head
-    atom that was already present.  ``overflow`` signals a per-worker
-    budget overrun — the round loop then treats the round as a budget
-    overrun *without* applying its atoms.
+    atom that was already present.
     """
 
     produced: dict[Atom, Derivation]
     matches: int
     dedup_hits: int
-    overflow: bool = False
 
 
 class SequentialRoundExecutor:
-    """The default in-process round executor.
+    """The object-engine round executor.
 
     One round = one pass over the prepared rules, enumerating this
     round's matches via :func:`_round_matches` and deduplicating head
     atoms against the current instance and the round's own production.
-    :class:`repro.chase.parallel.ParallelRoundExecutor` implements the
-    same ``run_round`` contract across worker processes.
+    :class:`repro.chase.columnar_kernel.ColumnarRoundExecutor` implements
+    the same ``run_round`` contract over interned term ids.
 
     ``control`` (a :class:`_RunControl`, set by :func:`_run_rounds`) is
     consulted at every rule boundary and every
@@ -614,13 +590,6 @@ def _run_rounds(
                 seconds=round(time.perf_counter() - round_started, 6),
             )
             break
-        if outcome.overflow:
-            if budget.on_exceeded == "raise":
-                raise ChaseBudgetExceeded(
-                    f"a chase worker exceeded worker_max_atoms="
-                    f"{budget.worker_max_atoms} in round {round_number}"
-                )
-            break
         produced = outcome.produced
         matches = outcome.matches
         dedup_hits = outcome.dedup_hits
@@ -721,7 +690,6 @@ def chase(
     track_provenance: bool = True,
     semi_naive: bool = True,
     telemetry: Telemetry | None = None,
-    workers: int | None = None,
     backend: str | None = None,
     cancel: CancellationToken | None = None,
     max_rounds: int | None = None,
@@ -745,15 +713,6 @@ def chase(
     ``columnar.*``.  The ``"sqlite"`` backend is rejected here — the
     store-backed chase has its own entry point
     (:func:`repro.storage.chase_into_store`).
-
-    ``workers`` selects the round executor: ``N > 1`` evaluates each
-    round's trigger matches across ``N`` worker processes (see
-    :mod:`repro.chase.parallel`) and merges the production
-    deterministically — the rounds are identical to the sequential
-    engine's, set-for-set.  ``None`` defers to ``budget.workers``.  When
-    multiprocessing is unavailable or the workload does not serialize,
-    the chase degrades to the in-process executor and flags
-    ``parallel.fallback_inprocess`` in the stats — never an error.
 
     ``cancel`` accepts a :class:`CancellationToken`; together with
     ``budget.deadline_s`` it bounds the run by events rather than work:
@@ -783,23 +742,11 @@ def chase(
     round_added: list[frozenset[Atom]] = [frozenset(base)]
     derivations: dict[Atom, Derivation] = {}
 
-    requested_workers = workers if workers is not None else budget.workers
     executor: SequentialRoundExecutor | None = None
-    if requested_workers > 1:
-        from .parallel import make_round_executor
+    if backend_name == "columnar":
+        from .columnar_kernel import make_columnar_executor
 
-        executor = make_round_executor(
-            prepared, theory, current, budget, telemetry, requested_workers
-        )
-    else:
-        if workers is not None:
-            # Parallelism was explicitly (if trivially) requested; record
-            # the in-process degrade so callers can tell the paths apart.
-            telemetry.counters["parallel.fallback_inprocess"] = 1
-        if backend_name == "columnar":
-            from .columnar_kernel import make_columnar_executor
-
-            executor = make_columnar_executor(prepared, current, telemetry)
+        executor = make_columnar_executor(prepared, current, telemetry)
 
     try:
         with telemetry.timer("chase"):

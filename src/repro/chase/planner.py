@@ -41,13 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # How many work items (matches in the sequential/columnar executors,
-# decoded result rows on the parallel coordinator, inserted rows in the
-# store chase) an inner loop processes between deadline/cancellation
-# checks.  A power of two: the executors test ``counter &
-# (CONTROL_CHECK_STRIDE - 1)`` so the disabled-path cost stays one
-# branch per item.  256 keeps the in-round response latency well under a
-# millisecond on every bench workload while making the check cost
-# unmeasurable (pinned by the ``fault_tolerance`` bench-guard scenario).
+# inserted rows in the store chase) an inner loop processes between
+# deadline/cancellation checks.  A power of two: the executors test
+# ``counter & (CONTROL_CHECK_STRIDE - 1)`` so the disabled-path cost
+# stays one branch per item.  256 keeps the in-round response latency
+# well under a millisecond on every bench workload while making the
+# check cost unmeasurable (pinned by the ``fault_tolerance`` bench-guard
+# scenario).
 CONTROL_CHECK_STRIDE = 256
 
 from ..logic.homomorphism import JoinPlan, plan_join
@@ -64,17 +64,13 @@ class RulePlan:
     homomorphism search; ``body_predicates`` feeds the relevance check;
     ``universal`` is the rule's universal head variables in canonical
     order (they range over the active domain and make the rule relevant
-    whenever the domain grew).  ``pivot_predicates[i]`` is the predicate
-    of body atom ``i`` — the semi-naive pivot search ``i`` can only match
-    when that predicate has facts in the delta, which both the search
-    layer and the parallel work-item partitioner consult.
+    whenever the domain grew).
     """
 
     join: JoinPlan
     body_predicates: frozenset[Predicate]
     universal: tuple[Variable, ...]
     has_body: bool
-    pivot_predicates: tuple[Predicate, ...] = ()
 
     def relevant(
         self, delta_predicates: set[Predicate], delta_terms: set[Term] | None
@@ -96,43 +92,6 @@ class RulePlan:
         """How many pivot searches a non-skipped round would have run."""
         return max(1, len(self.join.pivot_orders))
 
-    def shard_items(
-        self,
-        rule_index: int,
-        delta_predicates: set[Predicate],
-        delta_terms: set[Term] | None,
-        shards: int,
-    ) -> list[tuple]:
-        """Partition this rule's semi-naive round work into items.
-
-        An item is one independently evaluable unit of a round:
-
-        * ``("pivot", rule, pivot, shard, shards)`` — the semi-naive
-          search with body atom ``pivot`` pinned to the ``shard``-th of
-          ``shards`` canonical slices of the delta (the slices partition
-          the delta's facts, so the union of the shard searches is
-          exactly the pinned-to-the-whole-delta search, each match
-          produced once);
-        * ``("universal", rule)`` — the round's universal-head-variable
-          matches that grab a term new to the active domain.
-
-        Pivots whose predicate has no fact in the delta are omitted,
-        mirroring the skip in the sequential search layer.  The item
-        tuples sort the same way the sequential engine enumerates them
-        (rule, then pivot, then shard), which is what makes the parallel
-        executor's merge deterministic.
-        """
-        items: list[tuple] = []
-        if self.has_body and not self.body_predicates.isdisjoint(delta_predicates):
-            for pivot, predicate in enumerate(self.pivot_predicates):
-                if predicate not in delta_predicates:
-                    continue
-                for shard in range(shards):
-                    items.append(("pivot", rule_index, pivot, shard, shards))
-        if self.universal and delta_terms:
-            items.append(("universal", rule_index))
-        return items
-
 
 def plan_rule(rule: TGD, body_patterns: tuple) -> RulePlan:
     """Precompute the :class:`RulePlan` for a rule's compiled body."""
@@ -141,5 +100,4 @@ def plan_rule(rule: TGD, body_patterns: tuple) -> RulePlan:
         body_predicates=frozenset(item.predicate for item in rule.body),
         universal=tuple(sorted(rule.universal_head_variables(), key=lambda v: v.name)),
         has_body=bool(rule.body),
-        pivot_predicates=tuple(item.predicate for item in rule.body),
     )

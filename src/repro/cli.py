@@ -311,7 +311,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             theory,
             instance,
             budget=budget,
-            workers=args.workers,
             backend=resolved.name,
             cancel=token,
         )
@@ -500,11 +499,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     theory = parse_theory(_read(args.theory, args.inline), name="cli")
     query = parse_query(_read(args.query, args.inline))
-    budget = RewritingBudget(
-        max_kept=args.max_kept,
-        max_steps=args.max_steps,
-        workers=args.workers,
-    )
+    budget = RewritingBudget(max_kept=args.max_kept, max_steps=args.max_steps)
     result = rewrite(theory, query, budget)
     stats = result.stats.as_dict()
     if args.json:
@@ -549,7 +544,6 @@ def _cmd_answer(args: argparse.Namespace) -> int:
         session = OMQASession(
             theory,
             chase_budget=chase_budget,
-            workers=args.workers,
             db_path=resolved.path,
             cancel=token,
         )
@@ -680,9 +674,7 @@ def _cmd_bench_guard(args: argparse.Namespace) -> int:
     baseline_path = Path(
         args.baseline if args.baseline else default_baseline_path(args.quick)
     )
-    document = run_guard_scenarios(
-        quick=args.quick, repeats=args.repeats, workers=args.workers
-    )
+    document = run_guard_scenarios(quick=args.quick, repeats=args.repeats)
     if args.output:
         Path(args.output).write_text(
             json.dumps(document, indent=2) + "\n", encoding="utf8"
@@ -870,13 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and leaves resumable state (ChaseBudget.deadline_s)",
     )
     chase_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="round-executor process count (default: in-process; results "
-        "are identical either way, see docs/performance.md)",
-    )
-    chase_cmd.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default=DEFAULT_CHASE_BACKEND,
@@ -946,13 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     rewrite_cmd.add_argument("query")
     rewrite_cmd.add_argument("--max-kept", type=int, default=2_000)
     rewrite_cmd.add_argument("--max-steps", type=int, default=200_000)
-    rewrite_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for frontier batches (same output as "
-        "sequential, counter for counter; see docs/performance.md)",
-    )
     _add_common(rewrite_cmd, stats=True)
     rewrite_cmd.set_defaults(handler=_cmd_rewrite)
 
@@ -960,12 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
     answer_cmd.add_argument("theory")
     answer_cmd.add_argument("instance")
     answer_cmd.add_argument("query")
-    answer_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the materialization chase, if one runs",
-    )
     answer_cmd.add_argument(
         "--deadline",
         type=float,
@@ -1036,12 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     guard_cmd.add_argument(
         "--json", action="store_true", help="emit the comparison as JSON"
-    )
-    guard_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for the parallel_equivalence scenario (default 4)",
     )
     guard_cmd.set_defaults(handler=_cmd_bench_guard)
 

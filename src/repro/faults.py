@@ -1,26 +1,23 @@
 """Deterministic fault injection for the chaos test-suite.
 
-The fault-tolerance layer (deadlines, cancellation, worker retry, durable
-store-chase rounds, atomic checkpoints — see ``docs/robustness.md``) is
-only trustworthy if its failure paths are *executed*, not just written.
-This registry lets tests arm named faults at precise points of a run:
+The fault-tolerance layer (deadlines, cancellation, durable store-chase
+rounds, atomic checkpoints, lock retries — see ``docs/robustness.md``)
+is only trustworthy if its failure paths are *executed*, not just
+written.  This registry lets tests arm named faults at precise points of
+a run:
 
 >>> from repro import faults
->>> faults.inject("parallel.worker_death", round=3)
->>> # ... run a chase with workers=2: the coordinator SIGKILLs worker 0
->>> # just before dispatching round 3, exercising the respawn-and-retry
->>> # path end to end ...
+>>> faults.inject("storechase.kill", round=3)
+>>> # ... run a store chase: the process SIGKILLs itself just before
+>>> # committing round 3, exercising crash-safe resume end to end ...
 >>> faults.clear()
 
 Injection points call :func:`fire` with their site name (and the current
 round where one exists); ``fire`` returns ``True`` exactly when an armed
 fault matches, consuming one of its remaining ``times``.  The registered
-sites:
+sites (:data:`SITES`; arming any other name raises ``ValueError``, so a
+typo or a stale site name can never silently disarm a chaos test):
 
-``parallel.worker_death``
-    coordinator kills worker 0 (SIGKILL) before dispatching the round;
-``parallel.respawn_fail``
-    the replacement worker's spawn raises, forcing the in-process degrade;
 ``storechase.kill``
     the store chase SIGKILLs its own process just *before* committing the
     round — the round's rows and meta roll back, simulating a crash at
@@ -55,6 +52,13 @@ from dataclasses import dataclass
 
 ENV_VAR = "REPRO_FAULTS"
 
+SITES = (
+    "storechase.kill",
+    "storechase.kill_midround",
+    "checkpoint.crash",
+    "sqlite.locked",
+)
+
 _armed = False
 _registry: dict[str, list["_Fault"]] = {}
 
@@ -70,6 +74,10 @@ class _Fault:
 def inject(name: str, round: int | None = None, times: int = 1) -> None:
     """Arm fault ``name``; fire on ``round`` (or any round when ``None``)."""
     global _armed
+    if name not in SITES:
+        raise ValueError(
+            f"unknown fault site {name!r}; known sites: {', '.join(SITES)}"
+        )
     if times < 1:
         raise ValueError("times must be at least 1")
     _registry.setdefault(name, []).append(_Fault(round=round, times=times))
@@ -117,9 +125,9 @@ def install_from_env(value: str | None = None) -> int:
     """Arm faults from ``REPRO_FAULTS`` (or an explicit spec string).
 
     Format: comma-separated ``name`` or ``name@round`` entries.  Returns
-    the number of faults armed.  Malformed entries raise ``ValueError``
-    loudly — a typo silently disarming a chaos test would make the suite
-    vacuous.
+    the number of faults armed.  Malformed entries and unknown site names
+    raise ``ValueError`` loudly — a typo silently disarming a chaos test
+    would make the suite vacuous.
     """
     spec = os.environ.get(ENV_VAR, "") if value is None else value
     count = 0

@@ -8,8 +8,7 @@ common pruning event of the saturation loop — a rewriting step
 reproducing a disjunct that is already kept, merely with different
 variable names — from two NP-hard containment searches into one dict
 probe.  The same key makes the engine's output independent of the fresh
-variable naming history, which is what lets the parallel frontier mode
-(:mod:`repro.rewriting.parallel`) produce a byte-identical kept set.
+variable naming history.
 
 The key is computed by exact canonical labeling, McKay-style but sized
 for CQ bodies (tens of atoms, a handful of existential variables):
@@ -292,34 +291,4 @@ def canonical_form(query: ConjunctiveQuery) -> ConjunctiveQuery:
     return cached
 
 
-def adopt_canonical(query: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Install the canonical caches on a query already in canonical form.
-
-    The parallel frontier workers canonicalize in-process and ship the
-    result over the wire; the coordinator knows the decoded query *is*
-    a canonical form, so its key can be read off the ``_ca``/``_ce``
-    variable names directly instead of re-running the labeling search.
-    Only ever call this with the decoded output of
-    :func:`canonical_form` — anything else corrupts the dedup index.
-    """
-    if "_canonical_key" in query.__dict__:
-        return query
-    answer_labels: dict[Variable, int] = {}
-    exist_labels: dict[Variable, int] = {}
-    for var in query.variables():
-        if var.name.startswith(_ANSWER_PREFIX):
-            answer_labels[var] = int(var.name[len(_ANSWER_PREFIX):])
-        elif var.name.startswith(_EXIST_PREFIX):
-            exist_labels[var] = int(var.name[len(_EXIST_PREFIX):])
-        else:
-            raise ValueError(f"{var.name!r} is not a canonical variable name")
-    key = (
-        tuple(answer_labels[var] for var in query.answer_vars),
-        _encode_atoms(query.atoms, answer_labels, exist_labels),
-    )
-    object.__setattr__(query, "_canonical_key", key)
-    object.__setattr__(query, "_canonical_form", query)
-    return query
-
-
-__all__ = ["adopt_canonical", "canonical_form", "canonical_key"]
+__all__ = ["canonical_form", "canonical_key"]

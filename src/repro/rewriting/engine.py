@@ -44,26 +44,19 @@ the frontier, and the ``rewrite.steps`` / ``rewrite.produced`` /
 ``rewrite.evicted`` counters are identical with ``use_indexes=False``
 (the naive reference mode benches and property tests compare against).
 
-The loop itself is batch-structured: each pass snapshots the whole
-frontier, speculatively enumerates every batch member's piece-rewriting
-outcomes (this part depends only on the CQ and the theory, never on the
-kept set), and then *replays* the outcomes in deterministic order — batch
-position, then rule index, then unifier order — applying all
-kept-set-dependent logic (dedup, subsumption, eviction, budget stops,
-counters) exactly as the one-CQ-at-a-time loop would.  Because
-canonicalization erases fresh-variable naming history and cores are
-unique up to isomorphism, the enumeration is a pure function of the
-(canonical) CQ — which is what lets ``RewritingBudget(workers=N)``
-ship batches to worker processes (:mod:`repro.rewriting.parallel`) and
-still merge a byte-identical kept set with byte-identical ``rewrite.*``
-counters.
+The loop is breadth-first: each pass takes the whole frontier as one
+batch and visits its CQs in order.  For each CQ it walks the piece
+rewritings rule by rule, in unifier order, and applies the kept-set logic
+(dedup, subsumption, eviction, budget stops, counters) to each one as it
+is produced.  Everything a batch produces joins the next frontier, so
+the batch always precedes what it produces.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..logic.containment import core_query, is_contained_in
 from ..logic.query import ConjunctiveQuery, UnionOfCQs
@@ -99,8 +92,7 @@ class RewritingResult:
     ``stats``
         Saturation telemetry: ``rewrite.*`` counters (pieces unified,
         dedup hits, subsumption checks performed and skipped, evictions,
-        peak queue length) and phase time; ``rwparallel.*`` counters when
-        a worker pool ran.
+        peak queue length) and phase time.
     """
 
     query: ConjunctiveQuery
@@ -137,20 +129,12 @@ class RewritingBudget:
     # accounting differs.  The bench guard measures naive-vs-indexed on
     # exactly this switch.
     use_indexes: bool = True
-    # Opt-in parallel frontier batches: ship each frontier batch to N
-    # worker processes (see repro/rewriting/parallel.py).  The merge is
-    # deterministic, so the kept set and every rewrite.* counter are
-    # byte-identical to the sequential run; pool telemetry lives under
-    # rwparallel.*.  None or <=1 runs in-process.
-    workers: int | None = None
 
 
-# Rewriting-step outcomes: what one piece unifier did to one frontier CQ.
-# The enumeration is kept-set-independent, so outcomes can be produced
-# speculatively (and remotely) and replayed later in deterministic order.
-_EMPTY = ("empty",)  # EmptyRewriting: the query is unconditionally true
-_SKIP = ("skip",)  # an answer variable lost its last atom (see rewrite())
-_OVERSIZE = ("oversize",)  # produced CQ exceeds max_disjunct_atoms
+# Rewriting steps that produce no CQ to keep.
+_EMPTY = "empty"  # EmptyRewriting: the query is unconditionally true
+_SKIP = "skip"  # an answer variable lost its last atom (see rewrite())
+_OVERSIZE = "oversize"  # produced CQ exceeds max_disjunct_atoms
 
 
 # ----------------------------------------------------------------------
@@ -184,44 +168,33 @@ def _relevant_rule_indices(
     return sorted(found)
 
 
-# ----------------------------------------------------------------------
-# Speculative unifier enumeration (kept-set independent, worker-safe)
-# ----------------------------------------------------------------------
-
-
-def unify_frontier_cq(
+def _piece_rewritings(
     query: ConjunctiveQuery,
     rules: Sequence[TGD],
     rule_indices: Sequence[int],
     max_disjunct_atoms: int,
-) -> list[tuple]:
-    """All rewriting-step outcomes of one frontier CQ, in canonical order.
+) -> Iterator[ConjunctiveQuery | str]:
+    """The rewriting steps of one frontier CQ, rule by rule, lazily.
 
-    A pure function of ``(query, rules, rule_indices, max_disjunct_atoms)``:
-    the fresh-variable supply is local (one per call) and every produced CQ
-    is cored and canonicalized, so two calls — in any process — return the
-    same outcome list for the same canonical query.  The engine replays
-    these outcomes against the kept set later; budget stops simply discard
-    the speculative tail.
+    Yields the cored canonical form of each produced CQ, or one of
+    ``_EMPTY`` / ``_SKIP`` / ``_OVERSIZE`` for a step that produces
+    nothing to keep.
     """
     fresh = FreshVariables(prefix="_rw")
-    outcomes: list[tuple] = []
     for rule_index in rule_indices:
-        rule = rules[rule_index]
-        for unifier in iter_piece_unifiers(query, rule, fresh):
+        for unifier in iter_piece_unifiers(query, rules[rule_index], fresh):
             try:
                 produced = unifier.rewrite(query)
             except EmptyRewriting:
-                outcomes.append(_EMPTY)
+                yield _EMPTY
                 continue
             except ValueError:
-                outcomes.append(_SKIP)
+                yield _SKIP
                 continue
             if produced.size > max_disjunct_atoms:
-                outcomes.append(_OVERSIZE)
+                yield _OVERSIZE
                 continue
-            outcomes.append(("cq", canonical_form(core_query(produced))))
-    return outcomes
+            yield canonical_form(core_query(produced))
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +304,8 @@ def _presentable(
     ``_ce<j>``); the result renames answer variables back to the original
     query's names (canonical answer labels are first-occurrence positions
     of the answer tuple, so the mapping is positional) and existential
-    variables to ``_e<j>``.  The renaming is a deterministic bijection —
-    sequential/parallel byte-parity and the canonical caches survive it.
+    variables to ``_e<j>``.  The renaming is a deterministic bijection,
+    so the output stays byte-stable and the canonical caches survive it.
     """
     renaming: dict[Variable, Variable] = {}
     answer_names: set[str] = set()
@@ -394,118 +367,90 @@ def rewrite(
     always_true = False
     stopped = False
 
-    executor = None
-    if budget.workers is not None and budget.workers > 1:
-        from .parallel import make_frontier_executor
-
-        executor = make_frontier_executor(theory, budget, telemetry)
-
-    try:
-        with telemetry.phase("rewrite"):
-            while frontier and not stopped:
-                batch = frontier
-                frontier = []
-                batch_outcomes: list[list[tuple]] | None = None
-                if executor is not None:
-                    batch_outcomes = executor.unify_batch(batch)
-                    if batch_outcomes is None:  # pool failed: degrade for good
-                        executor.close()
-                        executor = None
-                # Replay in deterministic order: batch position, then rule
-                # index, then unifier order — exactly the one-at-a-time
-                # sequential schedule (a deque would interleave the same
-                # way: the whole batch precedes everything it produces).
-                for position, current in enumerate(batch):
-                    if canonical_key(current) not in kept:
-                        counters["rewrite.evicted_while_queued"] += 1
+    with telemetry.phase("rewrite"):
+        while frontier and not stopped:
+            batch = frontier
+            frontier = []
+            for position, current in enumerate(batch):
+                if canonical_key(current) not in kept:
+                    counters["rewrite.evicted_while_queued"] += 1
+                    continue
+                if use_indexes:
+                    indices: Sequence[int] = _relevant_rule_indices(
+                        rule_index, current
+                    )
+                    counters["rewrite.rules_skipped"] += len(rules) - len(indices)
+                else:
+                    indices = range(len(rules))
+                for produced in _piece_rewritings(
+                    current, rules, indices, budget.max_disjunct_atoms
+                ):
+                    explored += 1
+                    counters["rewrite.steps"] += 1
+                    if explored > budget.max_steps:
+                        complete = False
+                        stopped = True
+                        break
+                    if produced is _EMPTY:
+                        always_true = True
                         continue
+                    if produced is _SKIP:
+                        continue
+                    if produced is _OVERSIZE:
+                        counters["rewrite.oversize_dropped"] += 1
+                        complete = False
+                        continue
+                    produced_key = canonical_key(produced)
+                    if use_indexes and produced_key in kept:
+                        counters["rewrite.dedup_hits"] += 1
+                        continue
+                    produced_preds = frozenset(produced.predicates())
                     if use_indexes:
-                        indices: Sequence[int] = _relevant_rule_indices(
-                            rule_index, current
-                        )
-                        counters["rewrite.rules_skipped"] += len(rules) - len(
-                            indices
-                        )
+                        candidates = kept.drop_candidates(produced_preds)
+                        counters["rewrite.subsumption_skipped"] += len(
+                            kept
+                        ) - len(candidates)
                     else:
-                        indices = range(len(rules))
-                    if batch_outcomes is not None:
-                        outcomes = batch_outcomes[position]
-                    else:
-                        outcomes = unify_frontier_cq(
-                            current, rules, indices, budget.max_disjunct_atoms
-                        )
-                    for outcome in outcomes:
-                        explored += 1
-                        counters["rewrite.steps"] += 1
-                        if explored > budget.max_steps:
-                            complete = False
-                            stopped = True
+                        candidates = kept.all_entries()
+                    checks = 0
+                    subsumed = False
+                    for _, _, existing in candidates:
+                        checks += 1
+                        if is_contained_in(produced, existing):
+                            subsumed = True
                             break
-                        tag = outcome[0]
-                        if tag == "empty":
-                            always_true = True
-                            continue
-                        if tag == "skip":
-                            continue
-                        if tag == "oversize":
-                            counters["rewrite.oversize_dropped"] += 1
-                            complete = False
-                            continue
-                        produced = outcome[1]
-                        produced_key = canonical_key(produced)
-                        if use_indexes and produced_key in kept:
-                            counters["rewrite.dedup_hits"] += 1
-                            continue
-                        produced_preds = frozenset(produced.predicates())
+                    counters["rewrite.subsumption_checks"] += checks
+                    if subsumed:
+                        counters["rewrite.subsumed_dropped"] += 1
+                        continue
+                    if budget.evict_subsumed:
                         if use_indexes:
-                            candidates = kept.drop_candidates(produced_preds)
+                            victims = kept.evict_candidates(produced_preds)
                             counters["rewrite.subsumption_skipped"] += len(
                                 kept
-                            ) - len(candidates)
+                            ) - len(victims)
                         else:
-                            candidates = kept.all_entries()
-                        checks = 0
-                        subsumed = False
-                        for _, _, existing in candidates:
-                            checks += 1
-                            if is_contained_in(produced, existing):
-                                subsumed = True
-                                break
-                        counters["rewrite.subsumption_checks"] += checks
-                        if subsumed:
-                            counters["rewrite.subsumed_dropped"] += 1
-                            continue
-                        if budget.evict_subsumed:
-                            if use_indexes:
-                                victims = kept.evict_candidates(produced_preds)
-                                counters["rewrite.subsumption_skipped"] += len(
-                                    kept
-                                ) - len(victims)
-                            else:
-                                victims = kept.all_entries()
-                            counters["rewrite.subsumption_checks"] += len(victims)
-                            evicted = 0
-                            for _, victim_key, existing in victims:
-                                if is_contained_in(existing, produced):
-                                    kept.remove(victim_key)
-                                    evicted += 1
-                            counters["rewrite.evicted"] += evicted
-                        kept.add(produced_key, produced)
-                        counters["rewrite.produced"] += 1
-                        frontier.append(produced)
-                        telemetry.gauge_max(
-                            "rewrite.queue_peak",
-                            len(frontier) + len(batch) - position - 1,
-                        )
-                        if len(kept) > budget.max_kept:
-                            complete = False
-                            stopped = True
-                            break
-                    if stopped:
+                            victims = kept.all_entries()
+                        counters["rewrite.subsumption_checks"] += len(victims)
+                        evicted = 0
+                        for _, victim_key, existing in victims:
+                            if is_contained_in(existing, produced):
+                                kept.remove(victim_key)
+                                evicted += 1
+                        counters["rewrite.evicted"] += evicted
+                    kept.add(produced_key, produced)
+                    counters["rewrite.produced"] += 1
+                    frontier.append(produced)
+                    telemetry.gauge_max(
+                        "rewrite.queue_peak",
+                        len(frontier) + len(batch) - position - 1,
+                    )
+                    if len(kept) > budget.max_kept:
+                        complete = False
+                        stopped = True
                         break
-    finally:
-        if executor is not None:
-            executor.close()
+                if stopped:
+                    break
 
     counters["rewrite.kept"] = len(kept)
     disjuncts = [_presentable(query, entry) for entry in kept.queries()]

@@ -101,7 +101,6 @@ class OMQASession:
         theory: Theory,
         rewriting_budget: RewritingBudget | None = None,
         chase_budget: ChaseBudget | None = None,
-        workers: int | None = None,
         db_path: "str | None" = None,
         cancel: "CancellationToken | None" = None,
     ) -> None:
@@ -114,11 +113,6 @@ class OMQASession:
         # watches this token (the CLI's SIGINT handler fires it), so a
         # long materialization stops at the next check, not at the end.
         self.cancel = cancel
-        # Round-executor process count for materializations; ``None``
-        # defers to ``chase_budget.workers``.  Chase results are
-        # executor-independent (see repro.chase.parallel), so cached
-        # materializations stay valid whatever the count.
-        self.workers = workers
         # Where strategy="sql" keeps its SQLiteStore; None = in-memory.
         self.db_path = db_path
         self.stats = Telemetry()
@@ -188,7 +182,6 @@ class OMQASession:
                 self.theory,
                 instance,
                 budget=self.chase_budget,
-                workers=self.workers,
                 cancel=self.cancel,
             )
             self.stats.merge(result.stats)

@@ -43,17 +43,11 @@ rewrite.subsumption_checks / rewrite.queue_peak``
 ``rewrite.dedup_hits / rewrite.subsumption_skipped /
 rewrite.rules_skipped / rewrite.subsumed_dropped /
 rewrite.oversize_dropped / rewrite.evicted_while_queued``
-    the rewriting fast path (``docs/performance.md`` §6): produced CQs
+    the rewriting fast path (``docs/performance.md`` §5): produced CQs
     absorbed by canonical-key dedup, kept candidates the inverted
     predicate index excluded without a containment search, rules pruned
     by head-predicate relevance, produced CQs dropped as subsumed or
     oversize, and frontier entries evicted before their turn;
-``rwparallel.workers / rwparallel.batches / rwparallel.cqs_shipped /
-rwparallel.worker_us / rwparallel.bytes_sent /
-rwparallel.bytes_received / rwparallel.fallback_inprocess``
-    the rewriting frontier pool (``RewritingBudget(workers=N)``) —
-    separate from ``rewrite.*`` so the sequential-vs-parallel byte
-    parity of those counters holds verbatim;
 ``session.rewrite_cache_hits / session.rewrite_cache_misses /
 session.chase_cache_hits / session.chase_cache_misses``
     ``OMQASession`` cache outcomes — rewritings per query shape, chases
@@ -79,29 +73,18 @@ delta.rounds``
     no-ops, base facts added and retracted, atoms over-deleted beyond
     the retraction itself (the DRed cone), cone members re-derived from
     surviving facts, and maintenance rounds executed;
-``parallel.workers / parallel.rounds / parallel.shards_dispatched /
-parallel.worker_us / parallel.merge_dedup_hits / parallel.bytes_sent /
-parallel.bytes_received / parallel.worker_truncated /
-parallel.fallback_inprocess``
-    the parallel round executor (``chase(..., workers=N)``): pool size,
-    pooled rounds, work items shipped, summed worker wall-time in
-    microseconds, duplicates collapsed by the deterministic merge, wire
-    traffic per direction, workers that hit ``worker_max_atoms``, and
-    whether the run degraded to the in-process executor;
 ``store.writes / store.batches / store.sql_queries / store.rows_scanned /
 store.terms_interned``
     the storage subsystem (``repro.storage``): facts submitted to a
     store, write-buffer flushes, SELECT statements executed (compiled
     rewritings and store-chase rounds included), result rows fetched
     back into Python, and term-dictionary inserts;
-``chase.deadline_hit / chase.cancelled / parallel.worker_restarts /
-store.lock_retries``
+``chase.deadline_hit / chase.cancelled / store.lock_retries``
     the fault-tolerance layer (see ``docs/robustness.md``): runs stopped
     by ``ChaseBudget.deadline_s``, runs stopped by a
-    :class:`~repro.chase.CancellationToken`, dead parallel workers
-    respawned mid-run, and ``database is locked`` statements retried
-    with backoff; ``<name>.interrupted`` marks a :meth:`Telemetry.timer`
-    block that unwound with an exception.
+    :class:`~repro.chase.CancellationToken`, and ``database is locked``
+    statements retried with backoff; ``<name>.interrupted`` marks a
+    :meth:`Telemetry.timer` block that unwound with an exception.
 """
 
 from __future__ import annotations

@@ -47,20 +47,6 @@ class TestChaseCommand:
         validate_stats_dict(document["stats"])
         assert len(document["stats"]["rounds"]) == 2
 
-    def test_chase_workers_same_atoms_and_telemetry(self, capsys):
-        code = main(["chase", "-e", TA, "Human(abel)", "--rounds", "2", "--json"])
-        assert code == 0
-        sequential = json.loads(capsys.readouterr().out)
-        code = main(
-            ["chase", "-e", TA, "Human(abel)", "--rounds", "2", "--workers", "2", "--json"]
-        )
-        assert code == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert sorted(parallel["atoms"]) == sorted(sequential["atoms"])
-        counters = parallel["stats"]["counters"]
-        assert counters["parallel.workers"] == 2
-        assert counters["parallel.rounds"] == 2
-
 
 class TestChaseSqliteBackend:
     TC = (
@@ -202,24 +188,6 @@ class TestRewriteCommand:
         assert document["disjunct_count"] == len(document["disjuncts"])
         validate_stats_dict(document["stats"])
 
-    def test_rewrite_workers_matches_sequential(self, capsys):
-        query = "q(x) := exists y. Mother(x, y)"
-        assert main(["rewrite", "-e", TA, query, "--json"]) == 0
-        sequential = json.loads(capsys.readouterr().out)
-        assert main(["rewrite", "-e", TA, query, "--workers", "2", "--json"]) == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert sorted(parallel["disjuncts"]) == sorted(sequential["disjuncts"])
-        rewrite_counters = {
-            name: count
-            for name, count in parallel["stats"]["counters"].items()
-            if name.startswith("rewrite.")
-        }
-        assert rewrite_counters == {
-            name: count
-            for name, count in sequential["stats"]["counters"].items()
-            if name.startswith("rewrite.")
-        }
-
     def test_rewrite_incomplete_exit_code(self, capsys):
         non_bdd = "E(x, y, z), R(x, z) -> R(y, z)"
         code = main(
@@ -280,25 +248,6 @@ class TestAnswerCommand:
         assert sqlite["strategy"] == "sql"
         assert sorted(sqlite["answers"]) == sorted(memory["answers"])
         assert sqlite["cache_info"]["sql"]["misses"] == 1
-
-    def test_answer_workers_flag_accepted(self, capsys):
-        # Rewriting may win the strategy race, but the flag must parse and
-        # the answers must not depend on it.
-        code = main(
-            [
-                "answer",
-                "-e",
-                TA,
-                "Human(abel)",
-                "q(x) := exists y. Mother(x, y)",
-                "--workers",
-                "2",
-                "--json",
-            ]
-        )
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["answers"] == [["abel"]]
 
 
 class TestClassifyCommand:

@@ -1,8 +1,8 @@
 """Tests for the columnar chase kernel and the unified backend registry.
 
-The columnar kernel is a pure optimization, exactly like the planner and
-the parallel executor before it: every test here pins that down by
-comparing ``backend="columnar"`` runs against the object engine
+The columnar kernel is a pure optimization, exactly like the planner
+before it: every test here pins that down by comparing
+``backend="columnar"`` runs against the object engine
 (``backend="memory"``) atom-for-atom, round-for-round, and — because the
 kernel mirrors the engine's pivot semantics — *counter-for-counter* on
 ``chase.matches`` / ``chase.atoms_produced`` / ``chase.dedup_hits``.
@@ -94,8 +94,8 @@ class TestRoundEquivalence:
         )
 
     def test_random_workload_parity(self):
-        # The parallel suite's seeded stress workload: transitive closure
-        # plus existential invention over random edges.
+        # A seeded stress workload: transitive closure plus existential
+        # invention over random edges.
         theory = parse_theory(
             """
             E(x,y), E(y,z) -> E(x,z)

@@ -2,11 +2,10 @@
 
 Everything here pins the robustness contract of ``docs/robustness.md``:
 whatever interrupts a chase — a ``ChaseBudget.deadline_s``, a fired
-:class:`~repro.chase.CancellationToken`, an injected worker death, or a
-``SIGKILL`` to the whole process — the surviving state is a *complete
-round prefix*, and resuming it reaches an atom-for-atom identical
-fixpoint with consistent ``chase.*`` counters (Observation 8 made
-operational against failure, not just against parallelism).
+:class:`~repro.chase.CancellationToken`, or a ``SIGKILL`` to the whole
+process — the surviving state is a *complete round prefix*, and resuming
+it reaches an atom-for-atom identical fixpoint with consistent
+``chase.*`` counters (Observation 8 made operational against failure).
 
 Injection sites come from :mod:`repro.faults`; the subprocess tests set
 ``REPRO_FAULTS`` in the child's environment, which is exactly how the CI
@@ -15,7 +14,6 @@ chaos job drives the CLI.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -34,7 +32,6 @@ from repro.chase import (
     chase,
     resume,
 )
-from repro.chase.parallel import parallel_available
 from repro.logic import parse_instance, parse_theory
 from repro.storage import (
     CheckpointError,
@@ -47,7 +44,6 @@ from repro.storage import (
 )
 from repro.storage.base import content_digest
 from repro.telemetry import Telemetry
-from repro.workloads import edge_cycle, example42_tc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,7 +101,7 @@ class TestFaultRegistry:
 
     def test_disarmed_registry_never_fires(self):
         assert not faults.active()
-        assert not faults.fire("parallel.worker_death")
+        assert not faults.fire("storechase.kill")
 
     def test_fire_consumes_and_matches_round(self):
         faults.inject("storechase.kill", round=3)
@@ -129,6 +125,18 @@ class TestFaultRegistry:
     def test_install_from_env_rejects_garbage(self):
         with pytest.raises(ValueError):
             faults.install_from_env("storechase.kill@not-a-round")
+
+    @pytest.mark.parametrize(
+        "spec", ["parallel.respawn_fail", "storechase.kil@2", "sqlite.lock"]
+    )
+    def test_unknown_site_rejected(self, spec):
+        # A stale or misspelt site would otherwise arm nothing and let a
+        # chaos test pass vacuously.
+        with pytest.raises(ValueError, match="unknown fault site"):
+            faults.install_from_env(spec)
+        with pytest.raises(ValueError, match="unknown fault site"):
+            faults.inject(spec.partition("@")[0])
+        assert not faults.active()
 
 
 class TestEngineInterruption:
@@ -200,76 +208,6 @@ class TestEngineInterruption:
         if aborted:  # the cut landed inside a round, not on its boundary
             assert aborted[-1]["round"] == cut.rounds_run + 1
             assert aborted[-1]["total_atoms"] == len(cut.instance)
-
-
-@pytest.mark.skipif(not parallel_available(), reason="needs fork start method")
-class TestParallelFaults:
-    def setup_method(self):
-        faults.clear()
-
-    def teardown_method(self):
-        faults.clear()
-
-    def test_worker_death_retries_shard_and_stays_exact(self):
-        theory, cycle = example42_tc(), edge_cycle(6)
-        budget = ChaseBudget(max_rounds=5, max_atoms=200_000)
-        reference = chase(theory, cycle, budget=budget)
-        faults.inject("parallel.worker_death", round=2)
-        survived = chase(theory, cycle, budget=budget, workers=2)
-        assert survived.stats.counters["parallel.worker_restarts"] == 1
-        assert not survived.stats.counters.get("parallel.fallback_inprocess", 0)
-        for mine, theirs in zip(survived.round_added, reference.round_added):
-            assert frozenset(mine) == frozenset(theirs)
-        assert_counters_match(survived.stats, reference.stats)
-        assert multiprocessing.active_children() == []
-
-    def test_respawn_failure_degrades_to_sequential(self):
-        theory, cycle = example42_tc(), edge_cycle(6)
-        budget = ChaseBudget(max_rounds=5, max_atoms=200_000)
-        reference = chase(theory, cycle, budget=budget)
-        faults.inject("parallel.worker_death", round=2)
-        faults.inject("parallel.respawn_fail")
-        degraded = chase(theory, cycle, budget=budget, workers=2)
-        assert degraded.stats.counters["parallel.fallback_inprocess"] == 1
-        for mine, theirs in zip(degraded.round_added, reference.round_added):
-            assert frozenset(mine) == frozenset(theirs)
-        assert_counters_match(degraded.stats, reference.stats)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("checks", [1, 4])
-    def test_parallel_cancel_resume_identical(self, checks):
-        theory, base = terminating_theory(), chain(10)
-        reference = chase(theory, base)
-        token = CountdownToken(checks)
-        cut = chase(theory, base, workers=2, cancel=token)
-        assert not cut.terminated
-        assert cut.stats.counters["chase.cancelled"] == 1
-        resumed = resume(cut, 100)
-        assert resumed.terminated
-        assert content_digest(resumed.instance) == content_digest(
-            reference.instance
-        )
-        assert multiprocessing.active_children() == []
-
-    def test_parallel_deadline_zero(self):
-        theory, base = terminating_theory(), chain(8)
-        result = chase(
-            theory, base, workers=2, budget=ChaseBudget(deadline_s=0.0)
-        )
-        assert result.rounds_run == 0
-        assert result.stats.counters["chase.deadline_hit"] == 1
-        assert multiprocessing.active_children() == []
-
-    def test_shutdown_leaves_no_children(self):
-        theory, cycle = example42_tc(), edge_cycle(5)
-        result = chase(
-            theory,
-            cycle,
-            budget=ChaseBudget(max_rounds=3, max_atoms=200_000),
-            workers=2,
-        )
-        assert not result.stats.counters.get("parallel.leaked_workers", 0)
-        assert multiprocessing.active_children() == []
 
 
 class TestSQLiteHardening:

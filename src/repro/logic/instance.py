@@ -30,9 +30,18 @@ class Instance:
 
     Mutation is add-mostly (the chase only ever adds atoms); removal is
     supported for workload construction and subset experiments.
+
+    The content digest (:func:`repro.storage.base.instance_digest`) is
+    cached in ``_digest`` until the content changes: only an ``add`` or
+    ``discard`` that actually changes the fact set clears it, and
+    ``copy()`` (hence ``union``) carries it over.  Like every other
+    mutation, that bookkeeping is not thread-safe: an instance other
+    threads read must be mutated only under a lock the callers share.
     """
 
-    __slots__ = ("_atoms", "_by_pred", "_by_pos", "_by_term", "_live_preds")
+    __slots__ = (
+        "_atoms", "_by_pred", "_by_pos", "_by_term", "_live_preds", "_digest"
+    )
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self._atoms: set[Atom] = set()
@@ -40,6 +49,7 @@ class Instance:
         self._by_pos: dict[tuple[Predicate, int, Term], set[Atom]] = {}
         self._by_term: dict[Term, set[Atom]] = {}
         self._live_preds: set[Predicate] = set()
+        self._digest: "str | None" = None
         for item in atoms:
             self.add(item)
 
@@ -51,6 +61,7 @@ class Instance:
         if item in self._atoms:
             return False
         self._atoms.add(item)
+        self._digest = None
         self._by_pred.setdefault(item.predicate, set()).add(item)
         self._live_preds.add(item.predicate)
         for position, term in enumerate(item.args):
@@ -67,6 +78,7 @@ class Instance:
         if item not in self._atoms:
             return False
         self._atoms.discard(item)
+        self._digest = None
         bucket = self._by_pred[item.predicate]
         bucket.discard(item)
         if not bucket:
@@ -148,7 +160,8 @@ class Instance:
         Re-running ``add`` per atom would re-derive every index entry;
         copying the three index dicts (bucket sets shallow-copied — atoms
         are immutable) makes chase start-up O(index size) with tiny
-        constants instead.
+        constants instead.  The cached content digest carries over: the
+        clone holds the same facts.
         """
         clone = Instance.__new__(Instance)
         clone._atoms = set(self._atoms)
@@ -156,6 +169,7 @@ class Instance:
         clone._by_pos = {key: set(value) for key, value in self._by_pos.items()}
         clone._by_term = {key: set(value) for key, value in self._by_term.items()}
         clone._live_preds = set(self._live_preds)
+        clone._digest = self._digest
         return clone
 
     def union(self, other: "Instance | Iterable[Atom]") -> "Instance":

@@ -15,9 +15,11 @@ Cache keys:
   first-occurrence order (answer variables first), so alpha-equivalent
   queries with identical atom order share one prepared rewriting;
 * **instance content** — the frozenset of facts, so two instances with
-  the same atoms share one materialization (content hashing costs O(n)
-  per lookup; for repeated answering over a handle the caller keeps, that
-  is the safe trade);
+  the same atoms share one materialization.  The SQL and columnar stores
+  are keyed by :func:`~repro.storage.base.instance_digest`, which the
+  instance caches until an ``add``/``discard`` changes its facts, so the
+  store-reload check over an unchanged instance costs O(1) and an
+  in-place mutation is still seen (one O(n) digest, then a reload);
 * **compiled SQL** — with ``strategy="sql"`` the session keeps a
   :class:`~repro.storage.sqlite.SQLiteStore` (at ``db_path``, or
   in-memory) and caches each shape's rewriting *compiled to SQL*, keyed
@@ -292,10 +294,15 @@ class OMQASession:
             store = self.store()
             digest = instance_digest(instance)
             if digest != self._sql_digest:
+                # Mirrored like ``session.rewrite_cache_*``: a miss is a
+                # store reload, observable via --stats and /metrics.
+                self.stats.counters["session.sql_load_misses"] += 1
                 store.clear_facts()
                 store.add_many(instance)
                 self._compiled_sql.clear()
                 self._sql_digest = digest
+            else:
+                self.stats.counters["session.sql_load_hits"] += 1
             return store
 
     def _loaded_columnar(self, instance: Instance):
@@ -315,11 +322,13 @@ class OMQASession:
             digest = instance_digest(instance)
             if digest != self._columnar_digest:
                 self._misses["columnar"] += 1
+                self.stats.counters["session.columnar_load_misses"] += 1
                 self._columnar_store.clear_facts()
                 self._columnar_store.add_many(instance)
                 self._columnar_digest = digest
             else:
                 self._hits["columnar"] += 1
+                self.stats.counters["session.columnar_load_hits"] += 1
             return self._columnar_store
 
     def compile_sql(self, query: ConjunctiveQuery, instance: Instance):

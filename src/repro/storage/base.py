@@ -52,8 +52,17 @@ def content_digest(atoms: Iterable[Atom] | Iterable[str]) -> str:
 
 
 def instance_digest(instance: Instance) -> str:
-    """:func:`content_digest` of an instance's facts."""
-    return content_digest(instance)
+    """:func:`content_digest` of an instance's facts, cached on the instance.
+
+    The value is computed on the first call and kept in the instance's
+    ``_digest`` slot until an ``add`` or ``discard`` that changes the
+    fact set clears it, so repeated calls over unchanged content cost
+    O(1).  ``copy()`` carries the cached value over.
+    """
+    digest = instance._digest
+    if digest is None:
+        digest = instance._digest = content_digest(instance)
+    return digest
 
 
 @runtime_checkable

@@ -15,7 +15,7 @@ from ..logic.atoms import Atom
 from ..logic.instance import Instance
 from ..logic.signature import Predicate
 from ..telemetry import Telemetry
-from .base import content_digest
+from .base import instance_digest
 
 
 class MemoryStore:
@@ -91,7 +91,7 @@ class MemoryStore:
         self._meta[key] = value
 
     def digest(self) -> str:
-        return content_digest(self._instance)
+        return instance_digest(self._instance)
 
     def to_instance(self) -> Instance:
         return self._instance.copy()

@@ -55,6 +55,11 @@ session.chase_cache_hits / session.chase_cache_misses``
     for ``--stats`` output; under concurrent callers the rewrite
     counters also certify single-flight compilation (one miss per
     shape, racing requests counted as hits);
+``session.columnar_load_hits / session.columnar_load_misses /
+session.sql_load_hits / session.sql_load_misses``
+    ``OMQASession`` store-load outcomes for the ``columnar`` and ``sql``
+    strategies: a hit reuses the loaded store (the instance digest
+    matched), a miss (the first load, or changed content) reloads it;
 ``service.requests / service.responses_2xx / service.responses_4xx /
 service.responses_5xx / service.theories / service.uploads /
 service.appends / service.retracts / service.queries /

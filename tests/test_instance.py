@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.logic.atoms import atom
 from repro.logic.instance import Instance, subsets_of_size_at_most
 from repro.logic.signature import Predicate
 from repro.logic.terms import Constant
+from repro.storage.base import content_digest, instance_digest
 
 
 def sample() -> Instance:
@@ -187,3 +191,51 @@ class TestSubsetEnumeration:
         instance = sample()
         for part in subsets_of_size_at_most(instance, 2):
             assert part.issubset(instance)
+
+
+facts = st.one_of(
+    st.tuples(st.sampled_from("abc"), st.sampled_from("abc")).map(
+        lambda pair: atom("E", *pair)
+    ),
+    st.sampled_from("abc").map(lambda name: atom("P", name)),
+)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), facts),
+        st.tuples(st.just("discard"), facts),
+        st.tuples(st.just("update"), st.lists(facts, max_size=3)),
+        st.tuples(st.just("copy"), st.none()),
+    ),
+    max_size=25,
+)
+
+
+class TestContentDigest:
+    """``instance_digest`` caches on the instance; it must never go stale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(facts, max_size=5), steps)
+    def test_cached_digest_tracks_content(self, start, script):
+        current = Instance(start)
+        parents: list[tuple[Instance, str]] = []
+        for op, arg in script:
+            if op == "copy":
+                parent_digest = instance_digest(current)
+                clone = current.copy()
+                assert clone._digest == parent_digest
+                parents.append((current, parent_digest))
+                current = clone
+            else:
+                getattr(current, op)(arg)
+            assert instance_digest(current) == content_digest(list(current))
+            for parent, digest in parents:
+                assert instance_digest(parent) == digest
+                assert digest == content_digest(list(parent))
+
+    def test_noop_mutations_keep_the_cached_digest(self):
+        instance = sample()
+        digest = instance_digest(instance)
+        assert not instance.add(atom("P", "a"))
+        assert not instance.discard(atom("P", "zzz"))
+        assert instance.update([atom("E", "a", "b")]) == 0
+        assert instance._digest == digest

@@ -8,6 +8,7 @@ from repro import OMQASession
 from repro.chase import ChaseBudget
 from repro.chase.engine import ChaseBudgetExceeded
 from repro.logic import parse_instance, parse_query, parse_theory
+from repro.logic.instance import Instance
 from repro.rewriting import certain_answers, query_shape
 
 TA = "Human(y) -> exists z. Mother(y, z)\nMother(x, y) -> Human(y)"
@@ -207,6 +208,72 @@ class TestLiveUpdates:
         session.add_facts(instance, [_fact("EnrolledIn(bob, cs1)")])
         assert session.stats.counters["delta.updates"] == 1
         assert session.stats.counters["delta.added_base"] == 1
+
+
+class TestInPlaceMutation:
+    """A passed-in instance mutated in place between store-backed answers.
+
+    The store-backed strategies key their loaded store by the instance's
+    cached content digest; every mutation that changes the facts must be
+    seen (a reload and fresh answers), and no other call may reload.
+    """
+
+    @pytest.mark.parametrize(
+        "strategy, misses",
+        [
+            ("columnar", lambda s: s.cache_info()["columnar"]["misses"]),
+            ("sql", lambda s: s.stats.counters["session.sql_load_misses"]),
+        ],
+        ids=["columnar", "sql"],
+    )
+    def test_mutation_reloads_exactly_when_content_changes(self, strategy, misses):
+        theory = parse_theory(UNIVERSITY)
+        query = parse_query("q(p) := Person(p)")
+        instance = parse_instance("EnrolledIn(ann, cs1). TaughtBy(cs1, turing)")
+        session = OMQASession(theory)
+        # (mutation, whether the next answer must reload the store)
+        steps = [
+            (lambda: None, True),  # the first load
+            (lambda: instance.add(_fact("TaughtBy(cs2, hopper)")), True),
+            (lambda: instance.add(_fact("TaughtBy(cs2, hopper)")), False),
+            (lambda: instance.discard(_fact("TaughtBy(cs1, turing)")), True),
+            (lambda: instance.discard(_fact("TaughtBy(cs1, turing)")), False),
+            (
+                lambda: instance.update(
+                    [_fact("TaughtBy(cs3, liskov)"), _fact("TaughtBy(cs2, hopper)")]
+                ),
+                True,
+            ),
+            (lambda: instance.update([_fact("TaughtBy(cs3, liskov)")]), False),
+        ]
+        expected_misses = 0
+        for mutate, reloads in steps:
+            mutate()
+            expected_misses += reloads
+            got = session.answer(query, instance, strategy=strategy)
+            fresh = OMQASession(theory).answer(
+                query, Instance(list(instance)), strategy=strategy
+            )
+            assert got == fresh
+            assert misses(session) == expected_misses
+        assert {t[0].name for t in got} == {"hopper", "liskov"}
+
+    def test_load_outcomes_mirrored_into_stats(self):
+        session = OMQASession(parse_theory(UNIVERSITY))
+        query = parse_query("q(p) := Person(p)")
+        instance = parse_instance("TaughtBy(cs1, turing)")
+        for _ in range(2):
+            session.answer(query, instance, strategy="columnar")
+            session.answer(query, instance, strategy="sql")
+        instance.add(_fact("TaughtBy(cs2, hopper)"))
+        session.answer(query, instance, strategy="columnar")
+        session.answer(query, instance, strategy="sql")
+        counters = session.stats.counters
+        info = session.cache_info()["columnar"]
+        assert counters["session.columnar_load_hits"] == info["hits"] == 1
+        assert counters["session.columnar_load_misses"] == info["misses"] == 2
+        assert counters["session.sql_load_hits"] == 1
+        assert counters["session.sql_load_misses"] == 2
 
 
 class TestThreadSafety:

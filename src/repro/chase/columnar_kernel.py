@@ -293,12 +293,14 @@ def _join(
 class ColumnarRoundExecutor:
     """A drop-in ``run_round`` executor running the columnar kernel.
 
-    Owns a :class:`ColumnarStore` mirroring the engine's current
+    Runs over a :class:`ColumnarStore` that mirrors the engine's current
     instance: the round loop's ``sync`` argument (the atoms it applied
     since the previous call) is replayed into the store at the top of
     each round, so the id-side relations and the object-side
     ``Instance`` stay in lock-step without ever re-encoding the whole
-    instance.
+    instance.  ``close()`` closes the store; a caller that keeps the
+    mirror for a later run (:func:`repro.incremental.incremental_update`)
+    takes ``store`` instead of closing.
 
     Abandoning a round mid-flight (``control`` hit, see
     :class:`~repro.chase.engine._RunControl`) is safe by construction:
@@ -312,20 +314,13 @@ class ColumnarRoundExecutor:
     def __init__(
         self,
         prepared: "tuple[_PreparedRule, ...]",
-        base: Iterable[Atom],
+        store: ColumnarStore,
         telemetry: Telemetry,
     ) -> None:
         self.prepared = prepared
         self.telemetry = telemetry
-        # The mirror store keeps its own private stats: its write/intern
-        # traffic is an executor implementation detail, and folding it
-        # into the chase telemetry would make otherwise identical runs
-        # (one-shot vs checkpoint-resumed) disagree on store.* counters.
-        self.store = ColumnarStore()
-        self.compiled = tuple(
-            _compile_rule(rule, self.store) for rule in prepared
-        )
-        self.store.add_many(base, round_=0)
+        self.store = store
+        self.compiled = tuple(_compile_rule(rule, store) for rule in prepared)
         # Rows produced last round, keyed by atom, awaiting the engine's
         # decision (applied atoms arrive back through ``sync``).
         self._pending: dict[Atom, tuple[Predicate, tuple]] = {}
@@ -521,16 +516,21 @@ def make_columnar_executor(
     base: Iterable[Atom],
     telemetry: Telemetry,
 ) -> "ColumnarRoundExecutor | None":
-    """A columnar executor for ``prepared``, or ``None`` when pointless.
+    """A columnar executor over a fresh mirror of ``base``, or ``None``.
 
     When no rule is datalog-shaped (e.g. the pure-``T_d`` theories of
     Section 5) the kernel would only mirror writes for nothing; the
     engine then keeps the plain sequential executor.
     """
-    executor = ColumnarRoundExecutor(prepared, base, telemetry)
+    # The mirror store keeps its own private stats: its write/intern
+    # traffic is an executor implementation detail, and folding it into
+    # the chase telemetry would make otherwise identical runs (one-shot
+    # vs checkpoint-resumed) disagree on store.* counters.
+    executor = ColumnarRoundExecutor(prepared, ColumnarStore(), telemetry)
     if not executor.supported_rules:
         executor.close()
         return None
+    executor.store.add_many(base, round_=0)
     return executor
 
 

@@ -245,6 +245,9 @@ class ChaseResult:
         default=None, init=False, repr=False, compare=False
     )
     _depth_index_rounds: int = field(default=-1, init=False, repr=False, compare=False)
+    # What an incremental update hands the next one (the provenance index
+    # and the columnar mirror, see repro.incremental); chase() never sets it.
+    _maintenance: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rounds_run(self) -> int:
@@ -565,7 +568,9 @@ def _run_rounds(
         executor = SequentialRoundExecutor(prepared, telemetry)
     executor.control = control
     any_universal = any(rule.plan.universal for rule in prepared)
-    sync: Iterable[Atom] = ()
+    # A seed delta was applied to ``current`` by the caller: hand it to
+    # the executor as the first round's sync, like any applied round.
+    sync: Iterable[Atom] = delta if delta is not None else ()
     interrupted: str | None = None
     for _ in range(rounds):
         round_number = len(round_added)

@@ -117,25 +117,47 @@ def ancestor_support(result: ChaseResult, items: Iterable[Atom]) -> frozenset[At
 
 def dependents_index(
     derivations: "dict[Atom, Derivation]",
-) -> dict[Atom, list[Atom]]:
+) -> dict[Atom, set[Atom]]:
     """Invert recorded derivations into a parent -> children adjacency.
 
     The edge set of the provenance DAG walked by DRed over-deletion
     (:func:`repro.incremental.incremental_update`): each produced atom
     points back at its recorded parents (the body image of its
     derivation), so the inverse maps every atom to the atoms whose
-    recorded derivation consumed it.
+    recorded derivation consumed it.  Children are sets: a body that
+    uses one parent twice (``E(x, y), E(y, z)`` over a self-loop
+    ``E(a, a)``) still contributes one edge, so removing a derivation's
+    edges leaves none behind.
     """
-    dependents: dict[Atom, list[Atom]] = {}
+    dependents: dict[Atom, set[Atom]] = {}
     for child, derivation in derivations.items():
-        for parent in derivation.body_image():
-            dependents.setdefault(parent, []).append(child)
+        link_derivation(dependents, child, derivation)
     return dependents
+
+
+def link_derivation(
+    dependents: dict[Atom, set[Atom]], child: Atom, derivation: "Derivation"
+) -> None:
+    """Add the edges of ``child``'s recorded derivation to ``dependents``."""
+    for parent in derivation.body_image():
+        dependents.setdefault(parent, set()).add(child)
+
+
+def unlink_derivation(
+    dependents: dict[Atom, set[Atom]], child: Atom, derivation: "Derivation"
+) -> None:
+    """Remove those edges again; a parent left without children drops out."""
+    for parent in derivation.body_image():
+        children = dependents.get(parent)
+        if children is not None:
+            children.discard(child)
+            if not children:
+                del dependents[parent]
 
 
 def deletion_cone(
     removed: Iterable[Atom],
-    dependents: dict[Atom, list[Atom]],
+    dependents: dict[Atom, set[Atom]],
     protected,
 ) -> set[Atom]:
     """The DRed over-deletion set: ``removed`` plus all recorded dependents.
@@ -144,7 +166,7 @@ def deletion_cone(
     Atoms in ``protected`` (the post-update base instance) are never
     entered into the cone — a base fact needs no derivation to exist —
     but the walk does pass *through* a removed fact's children even when
-    those have other derivations; the re-derive rounds bring such
+    those have other derivations; the re-derive probes bring such
     survivors back.  Sound because recorded parents are strictly
     shallower than their children: everything outside the cone is
     derivable from the surviving base by induction on derivation depth.

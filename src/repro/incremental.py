@@ -2,7 +2,8 @@
 
 A terminated :class:`~repro.chase.engine.ChaseResult` is a fixpoint
 ``Ch(T, D)`` of the semi-oblivious Skolem chase.  This module maintains
-that fixpoint under base-instance updates without re-chasing:
+that fixpoint under base-instance updates without re-chasing, doing work
+proportional to the change rather than to the fixpoint:
 
 * **Additions** are a resumed semi-naive round.  By Observation 8 the
   materialized instance is an exact chase prefix, and Skolem naming is
@@ -12,20 +13,42 @@ that fixpoint under base-instance updates without re-chasing:
   missing — every already-present consequence is re-found by dedup, not
   re-invented.
 * **Deletions** follow DRed (delete-and-rederive) over the recorded
-  rule provenance: the retracted base facts and every atom whose
+  rule provenance.  The retracted base facts and every atom whose
   recorded derivation (transitively) consumed one of them — the
-  *deletion cone* — are over-deleted, then the survivors are chased to
-  a fresh fixpoint.  Atoms with an alternative derivation untouched by
-  the retraction are re-derived; the result is ``Ch(T, D - R)``
+  *deletion cone* — are over-deleted.  Then each cone atom is probed:
+  it is matched against every skolemized head of its predicate, each
+  match binds that rule's frontier, and the rule body is searched with
+  that binding for a homomorphism into the survivors.  The atoms a probe
+  finds come back as one new round with their new derivations, and
+  together with the genuinely new added facts they seed the semi-naive
+  delta, which recovers everything else.  The result is ``Ch(T, D')``
   atom-for-atom, though the per-round structure (``round_added``) of
   the maintained result generally differs from a from-scratch chase's.
 
-Soundness of the survivor set: recorded parents are strictly shallower
+Why that is exact.  *Sound:* recorded parents are strictly shallower
 than their children, so by induction on derivation depth every survivor
-is derivable from the surviving base — over-deletion only errs towards
-deleting too much, which the re-derive rounds repair.  Because the
-survivors contain the new base and are contained in ``Ch(T, D')``,
-chasing them to a fixpoint yields exactly ``Ch(T, D')``.
+is derivable from the surviving base; a probe hit's body lies in the
+survivors plus the new base, so it is derivable too, and its round comes
+after every round its parents sit in, which keeps the invariant.
+*Complete:* semi-naive evaluation from a seed delta misses nothing as
+long as every rule match whose body lies entirely outside the delta —
+here, in the survivors — already has its head present.  Such a head was
+in the old fixpoint; if the cone took it, its probe finds that very
+match (the head fixes the frontier, and the body is searched with the
+frontier bound), so it is in the seed.  With no seed at all the
+survivors are already the fixpoint and no round runs.
+
+The maintained result carries what the next update needs in a private
+slot: the parent → children provenance index (built once by
+:func:`~repro.chase.provenance.dependents_index`, then patched: edges of
+deleted and promoted atoms out, edges of new derivations in) and, on
+``backend="columnar"``, the kernel's :class:`~repro.storage.columnar.
+ColumnarStore` mirror (over-deleted rows removed, new rows synced by
+the round loop).  An update takes the slot from its input with one
+atomic ``__dict__.pop``, so the state has exactly one owner and the
+input's instance, derivations and rounds never change; updating an
+older result again rebuilds both lazily.  :func:`repro.chase.chase`
+never sets the slot.
 
 Retraction is refused (``ValueError``) for theories with universal head
 variables (the ``true -> exists z. R(x, z)`` rules of ``T_d``): such
@@ -37,12 +60,13 @@ exactly.
 
 The store-backed analogue is :func:`update_store_chase`, which walks
 the ``repro_supports`` table persisted by
-:func:`repro.storage.chase_into_store` instead of in-memory
-derivations.
+:func:`repro.storage.chase_into_store` instead of in-memory derivations,
+and still re-derives with one full-width round over the survivors.
 
 Counters (``delta.*``, see ``docs/incremental.md``): ``delta.updates``,
 ``delta.noops``, ``delta.added_base``, ``delta.retracted_base``,
-``delta.overdeleted``, ``delta.rederived``, ``delta.rounds``.
+``delta.overdeleted``, ``delta.rederived``, ``delta.rederive_probes``,
+``delta.rounds``.
 """
 
 from __future__ import annotations
@@ -50,23 +74,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
 
+from .chase.columnar_kernel import ColumnarRoundExecutor, make_columnar_executor
 from .chase.engine import (
     CancellationToken,
     ChaseBudget,
     ChaseResult,
-    SequentialRoundExecutor,
+    Derivation,
     _prepare_rules,
+    _PreparedRule,
     _resolve_chase_backend,
     _RunControl,
     _run_rounds,
 )
-from .chase.provenance import deletion_cone, dependents_index
+from .chase.provenance import (
+    _match_ground,
+    deletion_cone,
+    dependents_index,
+    link_derivation,
+    unlink_derivation,
+)
 from .logic.atoms import Atom
+from .logic.homomorphism import iter_pattern_homomorphisms
 from .logic.instance import Instance
 from .telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .storage.chasestore import StoreChaseResult
+    from .storage.columnar import ColumnarStore
     from .storage.sqlite import SQLiteStore
 
 __all__ = [
@@ -100,6 +134,57 @@ class UpdateOutcome:
     @property
     def changed(self) -> bool:
         return bool(self.added or self.retracted)
+
+
+@dataclass
+class _Maintenance:
+    """What a maintained fixpoint hands the next update (one owner).
+
+    ``dependents`` is exactly ``dependents_index(result.derivations)``;
+    ``mirror``, when set, is a columnar store holding exactly
+    ``result.instance``.
+    """
+
+    dependents: dict[Atom, set[Atom]]
+    mirror: "ColumnarStore | None"
+
+
+def _rederive(
+    prepared: tuple[_PreparedRule, ...],
+    cone: Iterable[Atom],
+    survivors: Instance,
+    telemetry: Telemetry,
+) -> dict[Atom, Derivation]:
+    """The cone atoms with a derivation whose body lies in ``survivors``.
+
+    One head-bound probe per (atom, rule head it matches): the head
+    binds the rule's frontier, then the body is searched with that
+    binding (``hom.*`` counts the search).  The first match found is
+    recorded as the atom's derivation.
+    """
+    heads: dict = {}
+    for rule in prepared:
+        for head in rule.skolemized.head:
+            heads.setdefault(head.predicate, []).append((head, rule))
+    counters = telemetry.counters
+    found: dict[Atom, Derivation] = {}
+    for item in cone:
+        for head, rule in heads.get(item.predicate, ()):
+            binding = _match_ground(head, item, {})
+            if binding is None:
+                continue
+            counters["delta.rederive_probes"] += 1
+            for sigma in iter_pattern_homomorphisms(
+                rule.body_patterns, survivors, binding, telemetry=telemetry
+            ):
+                found[item] = Derivation(
+                    rule.skolemized.rule,
+                    tuple(sorted(sigma.items(), key=lambda kv: kv[0].name)),
+                )
+                break
+            if item in found:
+                break
+    return found
 
 
 def _check_retraction_supported(result: ChaseResult) -> None:
@@ -168,6 +253,9 @@ def incremental_update(
     new_base = result.base.copy()
     removed = frozenset(item for item in retract if new_base.discard(item))
     added = frozenset(item for item in add if new_base.add(item))
+    # Take the carried state: one atomic pop makes this call its only
+    # owner, and leaves ``result`` to rebuild lazily if updated again.
+    carried: _Maintenance | None = result.__dict__.pop("_maintenance", None)
     if not removed and not added:
         counters["delta.noops"] += 1
         combined = result.stats.fork()
@@ -181,6 +269,7 @@ def incremental_update(
             derivations=result.derivations,
             stats=combined,
         )
+        same._maintenance = carried
         return UpdateOutcome(
             result=same,
             added=frozenset(),
@@ -199,14 +288,26 @@ def incremental_update(
         current = result.instance.copy()
         old_domain = current.domain()
         derivations = dict(result.derivations)
+        dependents = (
+            carried.dependents
+            if carried is not None
+            else dependents_index(derivations)
+        )
+        mirror = carried.mirror if carried is not None else None
+        if mirror is not None and backend_name != "columnar":
+            mirror.close()
+            mirror = None
 
         deleted: set[Atom] = set()
         if removed:
-            dependents = dependents_index(derivations)
             deleted = deletion_cone(removed, dependents, new_base)
             for item in deleted:
                 current.discard(item)
-                derivations.pop(item, None)
+                derivation = derivations.pop(item, None)
+                if derivation is not None:
+                    unlink_derivation(dependents, item, derivation)
+                if mirror is not None:
+                    mirror.discard(item)
             counters["delta.overdeleted"] += len(deleted) - len(removed)
 
         # Atoms genuinely new to the instance seed the semi-naive delta;
@@ -214,7 +315,9 @@ def incremental_update(
         # base (their consequences are all present, nothing to derive).
         new_to_instance = [item for item in added if current.add(item)]
         for item in added:
-            derivations.pop(item, None)
+            derivation = derivations.pop(item, None)
+            if derivation is not None:
+                unlink_derivation(dependents, item, derivation)
 
         # Rebuild the round partition: round 0 is the new base, later
         # rounds keep their surviving members (their true depths), with
@@ -223,28 +326,27 @@ def incremental_update(
         round_added: list[frozenset[Atom]] = [frozenset(new_base)]
         for previous in result.round_added[1:]:
             round_added.append(previous - strip)
+        rounds_before = len(round_added)
 
+        # Cone atoms a probe re-derives from the survivors return as one
+        # round, deeper than every parent they were found with.
         prepared = _prepare_rules(result.theory)
-        if removed:
-            # The closure broke: run a full first round over the
-            # survivors, after which the loop hands itself semi-naive
-            # deltas as usual.
-            delta = None
-            delta_terms = None
-            needs_rounds = True
-        else:
-            delta = Instance(new_to_instance) if new_to_instance else None
-            delta_terms = current.domain() - old_domain
-            needs_rounds = bool(new_to_instance)
+        found = _rederive(prepared, deleted, current, work)
+        if found:
+            for item in found:
+                current.add(item)
+            derivations.update(found)
+            round_added.append(frozenset(found))
 
         terminated = True
-        rounds_before = len(round_added)
         executed_before = counters["chase.rounds"]
-        if needs_rounds:
-            executor: SequentialRoundExecutor | None = None
-            if backend_name == "columnar":
-                from .chase.columnar_kernel import make_columnar_executor
-
+        seed = new_to_instance + list(found)
+        if seed:
+            executor = None
+            if mirror is not None:
+                executor = ColumnarRoundExecutor(prepared, mirror, work)
+                mirror = None  # owned by the executor until the run ends
+            elif backend_name == "columnar":
                 executor = make_columnar_executor(prepared, current, work)
             try:
                 terminated = _run_rounds(
@@ -256,17 +358,23 @@ def incremental_update(
                     budget=budget,
                     track_provenance=True,
                     semi_naive=True,
-                    delta=delta,
-                    delta_terms=delta_terms,
+                    delta=Instance(seed),
+                    delta_terms=current.domain() - old_domain,
                     telemetry=work,
                     executor=executor,
                     control=_RunControl.start(budget, cancel),
                 )
-            finally:
+            except BaseException:
                 if executor is not None:
                     executor.close()
+                raise
+            if executor is not None:
+                mirror = executor.store
         rounds_run = len(round_added) - rounds_before
         counters["delta.rounds"] += counters["chase.rounds"] - executed_before
+        for produced in round_added[rounds_before:]:
+            for item in produced:
+                link_derivation(dependents, item, derivations[item])
 
         rederived = sum(1 for item in deleted if item in current)
         counters["delta.rederived"] += rederived
@@ -282,6 +390,10 @@ def incremental_update(
         derivations=derivations,
         stats=combined,
     )
+    if terminated:
+        maintained._maintenance = _Maintenance(dependents, mirror)
+    elif mirror is not None:
+        mirror.close()
     return UpdateOutcome(
         result=maintained,
         added=added,

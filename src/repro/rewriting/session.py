@@ -224,7 +224,8 @@ class OMQASession:
 
         The cached fixpoint (when present and terminated) is maintained
         DRed-style: the retracted facts' derivation cone is over-deleted
-        and survivors are re-derived — see :mod:`repro.incremental` for
+        and each cone atom is probed for a derivation from the survivors
+        — see :mod:`repro.incremental` for
         the exact model, including the refusal (``ValueError``) for
         theories with universal head variables.
         """

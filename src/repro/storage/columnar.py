@@ -75,6 +75,19 @@ class _Relation:
         self.by_round[round_] = self.by_round.get(round_, 0) + 1
         return True
 
+    def remove(self, row: tuple) -> bool:
+        """Drop ``row`` and its index entries; False when it was absent."""
+        round_ = self.rows.pop(row, None)
+        if round_ is None:
+            return False
+        for index, term_id in zip(self.indexes, row):
+            bucket = index[term_id]
+            bucket.discard(row)
+            if not bucket:
+                del index[term_id]
+        self.by_round[round_] -= 1
+        return True
+
 
 class ColumnarStore(TermInterningMixin):
     """A :class:`~repro.storage.base.FactStore` over columnar id tuples.
@@ -139,6 +152,16 @@ class ColumnarStore(TermInterningMixin):
     def _encode(self, item: Atom) -> tuple:
         return tuple(self.intern_term(term) for term in item.args)
 
+    def _row_of(self, item: Atom) -> "tuple | None":
+        """``item``'s id row without interning; None when a term is unknown."""
+        ids = []
+        for term in item.args:
+            term_id = self.term_id(term)
+            if term_id is None:
+                return None
+            ids.append(term_id)
+        return tuple(ids)
+
     def _decode(self, predicate: Predicate, row: tuple) -> Atom:
         return Atom(predicate, tuple(self.term_by_id(t) for t in row))
 
@@ -185,6 +208,18 @@ class ColumnarStore(TermInterningMixin):
                 inserted += 1
         return inserted
 
+    def discard(self, item: Atom) -> bool:
+        """Remove one fact; True when it was present.
+
+        Its terms stay in the dictionary, so ids remain stable for
+        anything compiled against them.
+        """
+        relation = self._relations.get(item.predicate)
+        if relation is None:
+            return False
+        row = self._row_of(item)
+        return row is not None and relation.remove(row)
+
     def buffer(self, item: Atom, round_: int = 0) -> None:
         """Alias for :meth:`add`; the RAM store has no write buffer."""
         self.add(item, round_=round_)
@@ -202,13 +237,8 @@ class ColumnarStore(TermInterningMixin):
         relation = self._relations.get(item.predicate)
         if relation is None:
             return False
-        ids = []
-        for term in item.args:
-            term_id = self.term_id(term)
-            if term_id is None:
-                return False
-            ids.append(term_id)
-        return tuple(ids) in relation.rows
+        row = self._row_of(item)
+        return row is not None and row in relation.rows
 
     def __iter__(self) -> Iterator[Atom]:
         for predicate in list(self._relations):

@@ -72,12 +72,16 @@ service.deadline_timeouts``
     counters;
 ``delta.updates / delta.noops / delta.added_base /
 delta.retracted_base / delta.overdeleted / delta.rederived /
-delta.rounds``
+delta.rederive_probes / delta.rounds``
     incremental maintenance (:mod:`repro.incremental`, see
     ``docs/incremental.md``): update calls that changed the base versus
     no-ops, base facts added and retracted, atoms over-deleted beyond
     the retraction itself (the DRed cone), cone members re-derived from
-    surviving facts, and maintenance rounds executed;
+    surviving facts, head-bound re-derive probes run over the cone (one
+    body search per cone atom and rule head it matches; in-memory
+    only), and chase rounds executed (in memory the semi-naive rounds
+    seeded by added facts and probe hits, none when there is no seed;
+    the store path also counts its full-width re-derive round);
 ``store.writes / store.batches / store.sql_queries / store.rows_scanned /
 store.terms_interned``
     the storage subsystem (``repro.storage``): facts submitted to a

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import incremental_update
 from repro.chase import ChaseBudget, chase
+from repro.chase.provenance import dependents_index
 from repro.logic import Instance, parse_instance, parse_theory
 from repro.logic.atoms import Atom
 from repro.logic.signature import Predicate
@@ -18,6 +19,7 @@ from repro.storage import (
     StoreChaseError,
     chase_into_store,
     content_digest,
+    instance_digest,
     resume_store_chase,
     update_store_chase,
 )
@@ -170,6 +172,140 @@ class TestInMemoryUpdates:
         assert "delta" in outcome.stats.phases
 
 
+def check_maintained(result, base) -> None:
+    """A maintained result against a from-scratch chase and its invariants.
+
+    The instance equals the chase of ``base``; carried state (absent
+    only when no update changed anything yet) holds a provenance index
+    equal to a fresh :func:`dependents_index` and, if any, a columnar
+    mirror of exactly the instance; no base fact has a recorded
+    derivation; and every recorded parent is in the instance at a
+    strictly shallower round than its child.
+    """
+    assert result.terminated
+    assert content_digest(result.instance) == scratch_digest(result.theory, base)
+    carried = result._maintenance
+    if carried is not None:
+        assert carried.dependents == dependents_index(result.derivations)
+        if carried.mirror is not None:
+            assert set(carried.mirror) == set(result.instance)
+    assert not any(item in result.base for item in result.derivations)
+    for child, derivation in result.derivations.items():
+        depth = result.depth_of(child)
+        assert depth is not None
+        for parent in derivation.body_image():
+            parent_depth = result.depth_of(parent)
+            assert parent_depth is not None and parent_depth < depth
+
+
+# A theory with multi-derivation heads (transitivity, two roads to H),
+# a Skolem rule, and a rule that fires only on self-loops.
+LOOPS = parse_theory(
+    "E(x, y), E(y, z) -> E(x, z)\n"
+    "E(x, y) -> exists m. M(x, m)\n"
+    "M(x, m) -> H(x)\n"
+    "E(x, x) -> L(x)\n"
+    "L(x) -> H(x)",
+    name="loops",
+)
+
+
+class TestCarriedState:
+    @pytest.mark.parametrize("backend", ["memory", "columnar"])
+    def test_self_loop_parent_used_twice(self, backend):
+        # P(a, a) and P(a, b) consume E(a, a) twice in one body: the
+        # provenance index must hold one edge per (parent, child), or
+        # removing a derivation's edges leaves a stale one behind.
+        theory = parse_theory(
+            "E(x, y), E(y, z) -> P(x, z)\nP(x, y) -> Q(x)", name="twice"
+        )
+        base = set(parse_instance("E(a, a). E(a, b). E(b, c)."))
+        result = chase(theory, Instance(base), budget=BUDGET, backend=backend)
+        loop, edge = fact("E(a, a)."), fact("E(b, c).")
+        assert dependents_index(result.derivations)[loop] == {
+            fact("P(a, a)."),
+            fact("P(a, b)."),
+        }
+        for add, retract in (([], [loop]), ([], [edge]), ([edge], [])):
+            result = incremental_update(
+                result, add=add, retract=retract, budget=BUDGET, backend=backend
+            ).result
+            base = (base - set(retract)) | set(add)
+            assert result._maintenance is not None
+            check_maintained(result, base)
+
+    @pytest.mark.parametrize("backend", ["memory", "columnar"])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_two_updates_of_one_input(self, backend, first):
+        # The carried state moves to the first update's result; the
+        # second update of the same input rebuilds it, and the input
+        # itself never changes.
+        base = set(parse_instance("E(a, b). E(b, c). E(c, a). E(c, d)."))
+        start = chase(TC, Instance(base), budget=BUDGET, backend=backend)
+        shared = incremental_update(
+            start, add=[fact("E(d, e).")], budget=BUDGET, backend=backend
+        ).result
+        base |= {fact("E(d, e).")}
+        assert shared._maintenance is not None
+        digest = instance_digest(shared.instance)
+        derivations = dict(shared.derivations)
+        round_added = list(shared.round_added)
+        updates = [
+            ([fact("E(e, a).")], [fact("E(b, c).")]),
+            ([], [fact("E(c, a)."), fact("E(a, b).")]),
+        ]
+        for add, retract in (updates[first], updates[1 - first]):
+            outcome = incremental_update(
+                shared, add=add, retract=retract, budget=BUDGET, backend=backend
+            )
+            assert outcome.result._maintenance is not None
+            check_maintained(outcome.result, (base - set(retract)) | set(add))
+            assert shared._maintenance is None
+        assert instance_digest(shared.instance) == digest
+        assert shared.derivations == derivations
+        assert shared.round_added == round_added
+
+    @pytest.mark.parametrize("backend", ["memory", "columnar"])
+    def test_noop_passes_the_slot_through(self, backend):
+        base = parse_instance("E(a, b). E(b, c).")
+        run = chase(TC, base, budget=BUDGET, backend=backend)
+        maintained = incremental_update(
+            run, add=[fact("E(c, d).")], budget=BUDGET, backend=backend
+        ).result
+        carried = maintained._maintenance
+        assert carried is not None
+        assert (carried.mirror is not None) == (backend == "columnar")
+        noop = incremental_update(
+            maintained, add=[fact("E(c, d).")], budget=BUDGET, backend=backend
+        ).result
+        assert noop._maintenance is carried
+        assert maintained._maintenance is None
+
+    def test_chase_sets_no_slot(self):
+        assert chase(TC, parse_instance("E(a, b)."), budget=BUDGET)._maintenance is None
+
+    def test_retraction_probes_instead_of_a_full_round(self):
+        # Nothing in the cone is re-derivable: the probes find no hit,
+        # so no seed and no chase round at all.
+        theory = parse_theory("A(x) -> B(x)\nB(x) -> C(x)", name="chain")
+        run = chase(theory, parse_instance("A(a). A(b)."), budget=BUDGET)
+        outcome = incremental_update(run, retract=[fact("A(a).")], budget=BUDGET)
+        counters = outcome.stats.counters
+        assert counters["delta.rederive_probes"] == 2  # B(a), C(a)
+        assert counters["delta.rounds"] == 0 and counters["chase.matches"] == 0
+        assert outcome.rounds_run == 0
+
+    def test_rederived_atoms_return_as_one_round(self):
+        theory = parse_theory("P(x) -> Q(x)\nR(x) -> Q(x)\nQ(x) -> S(x)", name="roads")
+        run = chase(theory, parse_instance("P(a). R(a)."), budget=BUDGET)
+        outcome = incremental_update(run, retract=[fact("P(a).")], budget=BUDGET)
+        result = outcome.result
+        check_maintained(result, {fact("R(a).")})
+        # Q(a) comes back from its probe; S(a) then from the delta round.
+        assert outcome.rederived == 2
+        assert result.depth_of(fact("S(a).")) > result.depth_of(fact("Q(a)."))
+
+
 # ----------------------------------------------------------------------
 # Property-based equivalence: maintained == from-scratch, every step
 # ----------------------------------------------------------------------
@@ -184,6 +320,9 @@ scripts = st.lists(
     min_size=1,
     max_size=4,
 )
+# A small domain, so self-loops and shared endpoints are common.
+small = st.integers(min_value=0, max_value=3).map(lambda i: Constant(f"c{i}"))
+loop_edges = st.tuples(small, small).map(lambda pair: Atom(E, pair))
 
 
 def _step(op, facts, current):
@@ -212,6 +351,32 @@ class TestPropertyEquivalence:
             current = (current - set(retract)) | set(add)
             assert result.terminated
             assert content_digest(result.instance) == scratch_digest(TC, current)
+
+    @pytest.mark.parametrize("backend", ["memory", "columnar"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        base=st.lists(loop_edges, min_size=2, max_size=7),
+        script=st.lists(
+            st.tuples(
+                st.lists(loop_edges, max_size=2), st.lists(loop_edges, max_size=2)
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_carried_state_invariants(self, backend, base, script):
+        current = set(base)
+        result = chase(
+            LOOPS, Instance(sorted(current, key=repr)), budget=BUDGET, backend=backend
+        )
+        for add, retract in script:
+            add = set(add) - set(retract)
+            retract = set(retract) & current
+            result = incremental_update(
+                result, add=add, retract=retract, budget=BUDGET, backend=backend
+            ).result
+            current = (current - retract) | add
+            check_maintained(result, current)
 
     @settings(max_examples=10, deadline=None)
     @given(base=bases, script=scripts)

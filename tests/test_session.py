@@ -189,6 +189,24 @@ class TestLiveUpdates:
         info = session.cache_info()["chase"]
         assert info["hits"] == 1 and info["misses"] == 1
 
+    def test_two_updates_of_one_cached_entry(self):
+        # Each update takes the cached fixpoint's carried maintenance
+        # state; the second update of the same entry rebuilds it and
+        # must still answer like a fresh session.
+        theory = parse_theory(UNIVERSITY)
+        query = parse_query("q(p) := Person(p)")
+        instance = parse_instance("TaughtBy(cs1, turing). TaughtBy(cs2, hopper)")
+        session = OMQASession(theory)
+        session.materialize(instance)
+        for updated in (
+            session.add_facts(instance, [_fact("TaughtBy(cs3, curie)")]),
+            session.retract_facts(instance, [_fact("TaughtBy(cs1, turing)")]),
+        ):
+            live = session.answer(query, updated, strategy="materialize")
+            fresh = OMQASession(theory).answer(query, updated, strategy="materialize")
+            assert live == fresh
+        assert session.cache_info()["chase"]["entries"] == 3
+
     def test_chase_cache_counters_mirrored_into_stats(self):
         session = OMQASession(parse_theory(UNIVERSITY))
         instance = parse_instance("TaughtBy(cs1, turing)")

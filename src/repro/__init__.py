@@ -25,8 +25,8 @@ Subpackages
 ``repro.bench``
     The parameter-sweep harness behind benchmarks/ and EXPERIMENTS.md.
 ``repro.storage``
-    Pluggable fact stores (RAM / SQLite): UCQ rewritings compiled to SQL,
-    chase checkpoint/resume, and a store-backed chase with bounded RSS.
+    Pluggable fact stores (RAM / SQLite): UCQ rewritings compiled to SQL
+    and a resumable store-backed chase with bounded RSS.
 """
 
 __version__ = "1.0.0"

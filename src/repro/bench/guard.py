@@ -192,9 +192,6 @@ def _run_columnar_equivalence(quick: bool) -> dict:
         "speedup": (
             round(object_seconds / columnar_seconds, 3) if columnar_seconds else 0.0
         ),
-        "fallback_rules": int(
-            bool(columnar.stats.counters.get("columnar.fallback_rules", 0))
-        ),
     }
     return {
         "atoms": len(columnar.instance),

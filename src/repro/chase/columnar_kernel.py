@@ -4,15 +4,15 @@ This is the executor behind ``chase(backend="columnar")`` — the default
 engine.  Where :class:`~repro.chase.engine.SequentialRoundExecutor`
 backtracks over Python ``Atom``/``Term`` objects,
 :class:`ColumnarRoundExecutor` mirrors the current instance into a
-:class:`~repro.storage.columnar.ColumnarStore` and evaluates every
-*datalog-shaped* rule body as an index-nested-loop hash join over flat
-tuples of interned integer ids: per-level candidates come from the
-smallest per-position index bucket the current bindings allow, variable
-bindings are plain ``list`` slots, and Skolem terms are interned id-
-natively (:meth:`intern_function`) on first derivation — Python term
-objects are only built for the genuinely *new* atoms of a round, which
-is what makes deep-Skolem instances cheap (per-atom object overhead was
-the dominating cost, see ``docs/performance.md``).
+:class:`~repro.storage.columnar.ColumnarStore` and evaluates every rule
+body as an index-nested-loop hash join over flat tuples of interned
+integer ids: per-level candidates come from the smallest per-position
+index bucket the current bindings allow, variable bindings are plain
+``list`` slots, and Skolem terms are interned id-natively
+(:meth:`intern_function`) on first derivation — Python term objects are
+only built for the genuinely *new* atoms of a round, which is what makes
+deep-Skolem instances cheap (per-atom object overhead was the dominating
+cost, see ``docs/performance.md``).
 
 Semantics are the object engine's, exactly:
 
@@ -25,20 +25,21 @@ Semantics are the object engine's, exactly:
   ``chase.matches`` / ``chase.dedup_hits`` — is identical to the
   backtracking engine's (Skolem naming determinism, Observation 8, then
   gives identical atoms);
-* rules the kernel cannot shape — empty bodies, universal head
-  variables (the ``T_d`` family), non-ground oddities — fall back to
-  :func:`~repro.chase.engine._round_matches` verbatim, within the same
-  round.
+* an empty body has one empty match, and universal head variables (the
+  ``T_d`` family) are extra binding slots filled from the ids of the
+  round's domain pool through
+  :func:`~repro.chase.engine.universal_matches` — the object engine's
+  enumeration, in its order.
 
 Telemetry: join effort lands in the shared ``hom.*`` counters (the
 kernel *is* the homomorphism search, columnar); ``columnar.rounds`` /
-``columnar.rules`` / ``columnar.fallback_rules`` / ``columnar.matches``
-/ ``columnar.atoms_produced`` report how much of the chase the kernel
-carried.  See ``docs/architecture.md`` §9.
+``columnar.rules`` / ``columnar.matches`` / ``columnar.atoms_produced``
+report the kernel's work.  See ``docs/architecture.md`` §9.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 from ..logic.atoms import Atom
@@ -61,8 +62,8 @@ from .engine import (
     Derivation,
     RoundOutcome,
     _PreparedRule,
-    _round_matches,
     _RoundInterrupt,
+    universal_matches,
 )
 from .planner import CONTROL_CHECK_STRIDE
 
@@ -74,7 +75,9 @@ class _CompiledRule:
 
     ``patterns[i]`` is ``(predicate, slots)`` with each slot a
     ``(is_var, value)`` pair — ``value`` a binding index for variables,
-    an interned term id for constants.  ``heads`` carry ``("v", idx)``,
+    an interned term id for constants.  ``universal`` holds the binding
+    indexes of the universal head variables (after the body's), filled
+    per round from the domain pool.  ``heads`` carry ``("v", idx)``,
     ``("c", id)`` and ``("f", functor, child_slots)`` entries; the
     latter intern Skolem terms from child ids without building
     ``FunctionTerm`` objects.  Join orders are the planner's, with
@@ -85,6 +88,7 @@ class _CompiledRule:
     __slots__ = (
         "rule",
         "var_count",
+        "universal",
         "patterns",
         "base_order",
         "base_planned",
@@ -95,59 +99,46 @@ class _CompiledRule:
     )
 
 
-def _compile_rule(
-    prepared: _PreparedRule, store: ColumnarStore
-) -> "_CompiledRule | None":
-    """Lower a prepared rule for the kernel; ``None`` when out of shape."""
+def _compile_rule(prepared: _PreparedRule, store: ColumnarStore) -> _CompiledRule:
+    """Lower a prepared rule for the kernel.
+
+    Bodies hold variables and ground terms only (the pattern compiler
+    rejects anything else); heads after skolemization hold body or
+    universal variables, ground terms and Skolem terms over the frontier.
+    """
     rule = prepared.skolemized.rule
     plan = prepared.plan
-    if not rule.body or plan.universal:
-        return None
     var_index: dict[Variable, int] = {}
-    patterns = []
-    for item in rule.body:
-        slots = []
-        for term in item.args:
-            if isinstance(term, Variable):
-                slots.append(
-                    (True, var_index.setdefault(term, len(var_index)))
-                )
-            elif term.is_ground():
-                slots.append((False, store.intern_term(term)))
-            else:
-                return None
-        patterns.append((item.predicate, tuple(slots)))
+
+    def slot(term: Term) -> tuple:
+        if isinstance(term, Variable):
+            return (True, var_index.setdefault(term, len(var_index)))
+        return (False, store.intern_term(term))
+
+    patterns = tuple(
+        (item.predicate, tuple(slot(term) for term in item.args))
+        for item in rule.body
+    )
+    universal = tuple(slot(var)[1] for var in plan.universal)
     heads = []
     for item in prepared.skolemized.head:
         head_slots = []
         for term in item.args:
-            if isinstance(term, Variable):
-                if term not in var_index:
-                    return None
-                head_slots.append(("v", var_index[term]))
-            elif isinstance(term, FunctionTerm):
-                children = []
-                for child in term.args:
-                    if isinstance(child, Variable):
-                        if child not in var_index:
-                            return None
-                        children.append((True, var_index[child]))
-                    elif child.is_ground():
-                        children.append((False, store.intern_term(child)))
-                    else:
-                        return None
-                head_slots.append(("f", term.functor, tuple(children)))
-            elif term.is_ground():
-                head_slots.append(("c", store.intern_term(term)))
+            if isinstance(term, FunctionTerm) and not term.is_ground():
+                head_slots.append(
+                    ("f", term.functor, tuple(slot(child) for child in term.args))
+                )
             else:
-                return None
+                is_var, value = slot(term)
+                head_slots.append(("v" if is_var else "c", value))
         heads.append((item.predicate, tuple(head_slots)))
     count = len(patterns)
     join = plan.join
     compiled = _CompiledRule()
     compiled.rule = rule
     compiled.var_count = len(var_index)
-    compiled.patterns = tuple(patterns)
+    compiled.universal = universal
+    compiled.patterns = patterns
     compiled.base_order = (
         join.base_order if join.base_order is not None else tuple(range(count))
     )
@@ -189,6 +180,9 @@ def _join(
     relations mid-search.
     """
     depth = len(order)
+    if not depth:  # an empty body has exactly one (empty) match
+        yield binding
+        return
     track = effort is not None
     # One frame per level: [candidate iterator, slots, bound indexes].
     stack: list[list] = []
@@ -326,10 +320,6 @@ class ColumnarRoundExecutor:
         self._pending: dict[Atom, tuple[Predicate, tuple]] = {}
         self._round = 0
 
-    @property
-    def supported_rules(self) -> int:
-        return sum(1 for compiled in self.compiled if compiled is not None)
-
     def run_round(
         self,
         current: Instance,
@@ -371,51 +361,18 @@ class ColumnarRoundExecutor:
         produced_rows: dict[Predicate, set] = {}
         matches = 0
         dedup_hits = 0
-        columnar_matches = 0
-        columnar_atoms = 0
         columnar_rules = 0
-        fallback_rules = 0
         effort = [0, 0, 0, 0]
         control = self.control
         stride = CONTROL_CHECK_STRIDE - 1
+        # The round's domain pool as ids, in the pool's order (and its
+        # delta/old split), built once for all universal rules.
+        pool = split = None
         for prepared, compiled in zip(self.prepared, self.compiled):
             if control is not None:
                 reason = control.interruption()
                 if reason is not None:
                     raise _RoundInterrupt(reason)
-            if compiled is None:
-                # Out-of-shape rule: the object engine handles it within
-                # the same round, with identical counter accounting.
-                fallback_rules += 1
-                skolem_head = prepared.skolemized.head
-                for sigma in _round_matches(
-                    prepared, current, delta, delta_terms, telemetry, domain_pool
-                ):
-                    matches += 1
-                    if control is not None and not (matches & stride):
-                        reason = control.interruption()
-                        if reason is not None:
-                            raise _RoundInterrupt(reason)
-                    for new_atom in (
-                        item.substitute(sigma) for item in skolem_head
-                    ):
-                        if new_atom in current or new_atom in produced:
-                            dedup_hits += 1
-                            continue
-                        produced[new_atom] = Derivation(
-                            prepared.skolemized.rule,
-                            tuple(
-                                sorted(
-                                    sigma.items(), key=lambda kv: kv[0].name
-                                )
-                            ),
-                        )
-                        row = store._encode(new_atom)
-                        produced_rows.setdefault(
-                            new_atom.predicate, set()
-                        ).add(row)
-                        pending[new_atom] = (new_atom.predicate, row)
-                continue
             plan = prepared.plan
             if delta is not None and not plan.relevant(
                 delta_predicates, delta_terms
@@ -442,12 +399,32 @@ class ColumnarRoundExecutor:
                 searches = tuple(chosen)
             binding: list = [None] * compiled.var_count
             heads = compiled.heads
-            for order, pivot in searches:
-                for bound in _join(
-                    relations, patterns, order, pivot, delta_rows, binding, effort
-                ):
+            sources: Iterable = (
+                _join(relations, patterns, order, pivot, delta_rows, binding, effort)
+                for order, pivot in searches
+            )
+            if compiled.universal:
+                if pool is None:
+                    term_id = store.term_id
+                    pool = [term_id(term) for term in domain_pool]
+                    if delta is not None and delta_terms:
+                        split = (
+                            [term_id(t) for t in domain_pool if t in delta_terms],
+                            [term_id(t) for t in domain_pool if t not in delta_terms],
+                        )
+                sources = (
+                    self._with_universal(
+                        compiled,
+                        itertools.chain.from_iterable(sources),
+                        binding,
+                        pool,
+                        split,
+                        effort,
+                    ),
+                )
+            for source in sources:
+                for bound in source:
                     matches += 1
-                    columnar_matches += 1
                     if control is not None and not (matches & stride):
                         reason = control.interruption()
                         if reason is not None:
@@ -494,18 +471,54 @@ class ColumnarRoundExecutor:
                         )
                         rows.add(row)
                         pending[new_atom] = (head_predicate, row)
-                        columnar_atoms += 1
         if effort[_NODES] or effort[_SCANNED]:
             _flush_search_effort(telemetry, effort)
         counters["columnar.rounds"] += 1
         counters["columnar.rules"] += columnar_rules
-        if fallback_rules:
-            counters["columnar.fallback_rules"] += fallback_rules
-        counters["columnar.matches"] += columnar_matches
-        counters["columnar.atoms_produced"] += columnar_atoms
+        counters["columnar.matches"] += matches
+        counters["columnar.atoms_produced"] += len(produced)
         return RoundOutcome(
             produced=produced, matches=matches, dedup_hits=dedup_hits
         )
+
+    def _with_universal(
+        self,
+        compiled: _CompiledRule,
+        bindings: Iterable,
+        binding: list,
+        pool: list,
+        split: "tuple[list, list] | None",
+        effort: list,
+    ) -> Iterator[list]:
+        """Extend each body binding with the universal slots, in the
+        object engine's order (:func:`~repro.chase.engine.universal_matches`).
+        """
+        counters = self.telemetry.counters
+
+        def all_bindings() -> Iterator[list]:
+            if compiled.base_planned:
+                counters["plan.plans_reused"] += 1
+            return _join(
+                self.store._relations,
+                compiled.patterns,
+                compiled.base_order,
+                None,
+                None,
+                binding,
+                effort,
+            )
+
+        slots = compiled.universal
+        for bound, values in universal_matches(
+            len(slots),
+            bindings,
+            all_bindings if compiled.patterns else lambda: (binding,),
+            pool,
+            split,
+        ):
+            for index, value in zip(slots, values):
+                bound[index] = value
+            yield bound
 
     def close(self) -> None:
         self.store.close()
@@ -515,21 +528,13 @@ def make_columnar_executor(
     prepared: "tuple[_PreparedRule, ...]",
     base: Iterable[Atom],
     telemetry: Telemetry,
-) -> "ColumnarRoundExecutor | None":
-    """A columnar executor over a fresh mirror of ``base``, or ``None``.
-
-    When no rule is datalog-shaped (e.g. the pure-``T_d`` theories of
-    Section 5) the kernel would only mirror writes for nothing; the
-    engine then keeps the plain sequential executor.
-    """
+) -> ColumnarRoundExecutor:
+    """A columnar executor over a fresh mirror of ``base``."""
     # The mirror store keeps its own private stats: its write/intern
     # traffic is an executor implementation detail, and folding it into
     # the chase telemetry would make otherwise identical runs (one-shot
-    # vs checkpoint-resumed) disagree on store.* counters.
+    # vs resumed) disagree on store.* counters.
     executor = ColumnarRoundExecutor(prepared, ColumnarStore(), telemetry)
-    if not executor.supported_rules:
-        executor.close()
-        return None
     executor.store.add_many(base, round_=0)
     return executor
 

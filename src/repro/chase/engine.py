@@ -11,6 +11,8 @@ Rules with empty bodies are supported: a *universal* head variable (see
 :class:`repro.logic.tgd.TGD`) ranges over the active domain, so the
 ``forall x (true -> exists z. R(x,z))`` rules of the theory ``T_d`` fire for
 every element, including elements invented by earlier rounds.
+:func:`universal_matches` is the one enumeration of those assignments;
+the columnar kernel and the store-backed chase call it too.
 
 The engine records one *derivation* ``(rule, sigma)`` per produced atom — a
 parent function in the sense of Appendix A — from which
@@ -172,35 +174,6 @@ class ChaseBudget:
             raise ValueError("deadline_s must be non-negative when set")
 
 
-_LEGACY_BUDGET_MESSAGE = (
-    "the max_rounds=/max_atoms=/on_budget= kwargs were removed (deprecated "
-    "since 1.1); pass budget=ChaseBudget(max_rounds=..., max_atoms=..., "
-    "on_exceeded=...) instead"
-)
-
-
-def _coerce_budget(
-    budget: ChaseBudget | None,
-    default: ChaseBudget,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
-    on_budget: str | None = None,
-) -> ChaseBudget:
-    """Resolve the budget, rejecting the removed legacy kwargs."""
-    legacy = [
-        key
-        for key, value in (
-            ("max_rounds", max_rounds),
-            ("max_atoms", max_atoms),
-            ("on_budget", on_budget),
-        )
-        if value is not None
-    ]
-    if legacy:
-        raise TypeError(f"{_LEGACY_BUDGET_MESSAGE} (got {', '.join(legacy)}=)")
-    return budget if budget is not None else default
-
-
 @dataclass(frozen=True)
 class Derivation:
     """One way an atom was produced: ``atom = appl(rule, sigma)``."""
@@ -334,32 +307,61 @@ def _prepare_rules(theory: Theory) -> tuple[_PreparedRule, ...]:
     return result
 
 
-def _universal_assignments(
-    variables: tuple[Variable, ...], pool: list[Term]
-) -> Iterator[dict[Variable, Term]]:
-    for combo in itertools.product(pool, repeat=len(variables)):
-        yield dict(zip(variables, combo))
+def _universal_assignments(count: int, pool: list) -> Iterator[tuple]:
+    """Every ``count``-tuple over ``pool`` (terms or interned ids)."""
+    return itertools.product(pool, repeat=count)
 
 
 def _universal_delta_assignments(
-    variables: tuple[Variable, ...],
-    pool: list[Term],
-    delta_pool: list[Term],
-    old_pool: list[Term],
-) -> Iterator[dict[Variable, Term]]:
-    """Assignments into ``pool`` that use at least one delta term.
+    count: int, pool: list, delta_pool: list, old_pool: list
+) -> Iterator[tuple]:
+    """The ``count``-tuples over ``pool`` that use at least one delta value.
 
-    Each qualifying assignment is produced exactly once: split on the
-    first position carrying a delta term (earlier positions range over
-    old terms only, later ones over the whole pool).  This replaces the
-    old enumerate-everything-and-filter product, whose cost was
-    ``|domain|^k`` per body match regardless of the delta's size.
+    Each qualifying tuple is produced exactly once: split on the first
+    position carrying a delta value (earlier positions range over old
+    values only, later ones over the whole pool), so the cost follows
+    the delta's size rather than ``|pool|^count``.
     """
-    count = len(variables)
     for first in range(count):
         pools = [old_pool] * first + [delta_pool] + [pool] * (count - first - 1)
-        for combo in itertools.product(*pools):
-            yield dict(zip(variables, combo))
+        yield from itertools.product(*pools)
+
+
+def universal_matches(
+    count: int,
+    matches: Iterable,
+    all_matches,
+    pool: list,
+    split: "tuple[list, list] | None",
+) -> Iterator[tuple]:
+    """Pair body matches with universal assignments, ``(match, values)``.
+
+    The one enumeration every engine shares (object, columnar and store
+    chase), so they pair the same matches with the same values: each of
+    this round's body ``matches`` (all of them under full evaluation,
+    the delta-touching ones otherwise) times every assignment over the
+    round's ``pool``; then, when ``split = (delta_pool, old_pool)`` holds
+    the terms that just entered the domain, every match of
+    ``all_matches()`` times the assignments using at least one of them.
+    Matches may be shared mutable bindings: each is consumed before the
+    next is drawn.
+    """
+    assignments = None
+    for match in matches:
+        if assignments is None:
+            assignments = list(_universal_assignments(count, pool))
+        for values in assignments:
+            yield match, values
+    if split is None:
+        return
+    delta_assignments = None
+    for match in all_matches():
+        if delta_assignments is None:
+            delta_assignments = list(
+                _universal_delta_assignments(count, pool, *split)
+            )
+        for values in delta_assignments:
+            yield match, values
 
 
 def _round_matches(
@@ -379,7 +381,6 @@ def _round_matches(
     rule = prepared.skolemized.rule
     plan = prepared.plan
     universal = plan.universal
-    patterns = prepared.body_patterns
     if delta is not None and not plan.relevant(
         delta.predicates_with_facts(), delta_terms
     ):
@@ -390,57 +391,41 @@ def _round_matches(
             telemetry.counters["plan.rules_skipped"] += 1
             telemetry.counters["plan.nodes_saved"] += plan.search_count
         return
-    if universal and domain_pool is None:
-        domain_pool = list(current.domain())
+
+    def search(restrict: Instance | None = None) -> Iterator[dict]:
+        return iter_pattern_homomorphisms(
+            prepared.body_patterns,
+            current,
+            delta=restrict,
+            telemetry=telemetry,
+            plan=plan.join,
+        )
+
     if delta is None:
-        # Full evaluation (the first round).
-        universal_pool: list[dict[Variable, Term]] | None = None
-        for body_match in iter_pattern_homomorphisms(
-            patterns, current, telemetry=telemetry, plan=plan.join
-        ):
-            if not universal:
-                yield body_match
-                continue
-            if universal_pool is None:
-                universal_pool = list(_universal_assignments(universal, domain_pool))
-            for extra in universal_pool:
-                yield {**body_match, **extra}
+        matches: Iterable[dict] = search()  # full evaluation (the first round)
+    elif rule.body:
+        matches = search(delta)  # semi-naive: bodies touching the delta
+    else:
+        matches = ()
+    if not universal:
+        yield from matches
         return
-    # Semi-naive: matches whose body touches the delta ...
-    if rule.body:
-        universal_pool = None
-        for body_match in iter_pattern_homomorphisms(
-            patterns, current, delta=delta, telemetry=telemetry, plan=plan.join
-        ):
-            if not universal:
-                yield body_match
-                continue
-            if universal_pool is None:
-                universal_pool = list(_universal_assignments(universal, domain_pool))
-            for extra in universal_pool:
-                yield {**body_match, **extra}
-    # ... plus, for rules with universal variables, matches grabbing a term
-    # that only just entered the domain.
-    if universal and delta_terms:
-        delta_pool = [term for term in domain_pool if term in delta_terms]
-        old_pool = [term for term in domain_pool if term not in delta_terms]
-        body_matches: Iterable[dict[Variable, Term]]
-        if rule.body:
-            body_matches = iter_pattern_homomorphisms(
-                patterns, current, telemetry=telemetry, plan=plan.join
-            )
-        else:
-            body_matches = ({},)
-        delta_assignments: list[dict[Variable, Term]] | None = None
-        for body_match in body_matches:
-            if delta_assignments is None:
-                delta_assignments = list(
-                    _universal_delta_assignments(
-                        universal, domain_pool, delta_pool, old_pool
-                    )
-                )
-            for extra in delta_assignments:
-                yield {**body_match, **extra}
+    if domain_pool is None:
+        domain_pool = list(current.domain())
+    split = None
+    if delta is not None and delta_terms:
+        split = (
+            [term for term in domain_pool if term in delta_terms],
+            [term for term in domain_pool if term not in delta_terms],
+        )
+    for match, values in universal_matches(
+        len(universal),
+        matches,
+        search if rule.body else lambda: ({},),
+        domain_pool,
+        split,
+    ):
+        yield {**match, **dict(zip(universal, values))}
 
 
 @dataclass
@@ -537,7 +522,7 @@ def _run_rounds(
     delta: Instance | None,
     delta_terms: set[Term] | None,
     telemetry: Telemetry,
-    executor: "SequentialRoundExecutor | None" = None,
+    executor,
     control: "_RunControl | None" = None,
 ) -> bool:
     """The round loop shared by :func:`chase` and :func:`resume`.
@@ -547,8 +532,9 @@ def _run_rounds(
     appended per executed round — including the final empty round that
     confirms the fixpoint, whose matching work is real.
 
-    ``executor`` pluggably owns the per-round trigger matching (defaults
-    to :class:`SequentialRoundExecutor`); the loop itself stays the
+    ``executor`` pluggably owns the per-round trigger matching
+    (:class:`SequentialRoundExecutor` or the columnar kernel's
+    ``ColumnarRoundExecutor``); the loop itself stays the
     single owner of budget checks, the semi-naive delta hand-off and the
     per-round telemetry records, so every executor produces identical
     rounds by construction.
@@ -564,8 +550,6 @@ def _run_rounds(
     """
     terminated = False
     counters = telemetry.counters
-    if executor is None:
-        executor = SequentialRoundExecutor(prepared, telemetry)
     executor.control = control
     any_universal = any(rule.plan.universal for rule in prepared)
     # A seed delta was applied to ``current`` by the caller: hand it to
@@ -669,8 +653,7 @@ def note_interruption(
 
 
 # The round executor the in-memory chase uses when none is asked for by
-# name: the columnar kernel (see :mod:`repro.chase.columnar_kernel`),
-# which degrades to the object engine rule-by-rule where it must.
+# name: the columnar kernel (see :mod:`repro.chase.columnar_kernel`).
 DEFAULT_CHASE_BACKEND = "columnar"
 
 
@@ -688,6 +671,20 @@ def _resolve_chase_backend(backend: "str | None") -> str:
     ).name
 
 
+def _make_executor(
+    backend_name: str,
+    prepared: tuple[_PreparedRule, ...],
+    current: Instance,
+    telemetry: Telemetry,
+):
+    """The round executor for a resolved backend name, over ``current``."""
+    if backend_name == "columnar":
+        from .columnar_kernel import make_columnar_executor
+
+        return make_columnar_executor(prepared, current, telemetry)
+    return SequentialRoundExecutor(prepared, telemetry)
+
+
 def chase(
     theory: Theory,
     base: Instance,
@@ -697,9 +694,6 @@ def chase(
     telemetry: Telemetry | None = None,
     backend: str | None = None,
     cancel: CancellationToken | None = None,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
-    on_budget: str | None = None,
 ) -> ChaseResult:
     """Run the semi-oblivious Skolem chase.
 
@@ -711,13 +705,13 @@ def chase(
 
     ``backend`` picks the round kernel through the unified
     :func:`repro.storage.resolve_backend` spec: ``"columnar"`` (the
-    default) runs datalog-shaped rules as hash joins over interned term
-    ids (:mod:`repro.chase.columnar_kernel`), ``"memory"`` forces the
-    plain object engine.  Both produce identical rounds, atoms and
-    ``chase.*`` counters; the columnar kernel additionally reports
-    ``columnar.*``.  The ``"sqlite"`` backend is rejected here — the
-    store-backed chase has its own entry point
-    (:func:`repro.storage.chase_into_store`).
+    default) runs every rule as hash joins over interned term ids
+    (:mod:`repro.chase.columnar_kernel`), ``"memory"`` forces the plain
+    object engine — the readable reference of Definition 6.  Both
+    produce identical rounds, atoms and ``chase.*`` counters; the
+    columnar kernel additionally reports ``columnar.*``.
+    The ``"sqlite"`` backend is rejected here — the store-backed chase
+    has its own entry point (:func:`repro.storage.chase_into_store`).
 
     ``cancel`` accepts a :class:`CancellationToken`; together with
     ``budget.deadline_s`` it bounds the run by events rather than work:
@@ -733,26 +727,15 @@ def chase(
 
     ``telemetry`` lets callers supply a hook-carrying collector; by default
     a fresh one is created and returned as ``ChaseResult.stats``.
-
-    .. versionchanged:: 1.2
-        The ``max_rounds=`` / ``max_atoms=`` / ``on_budget=`` kwargs
-        (deprecated since 1.1) now raise ``TypeError``; pass
-        ``budget=ChaseBudget(...)``.
     """
-    budget = _coerce_budget(budget, ChaseBudget(), max_rounds, max_atoms, on_budget)
+    budget = budget if budget is not None else ChaseBudget()
     backend_name = _resolve_chase_backend(backend)
     telemetry = telemetry if telemetry is not None else Telemetry()
     prepared = _prepare_rules(theory)
     current = base.copy()
     round_added: list[frozenset[Atom]] = [frozenset(base)]
     derivations: dict[Atom, Derivation] = {}
-
-    executor: SequentialRoundExecutor | None = None
-    if backend_name == "columnar":
-        from .columnar_kernel import make_columnar_executor
-
-        executor = make_columnar_executor(prepared, current, telemetry)
-
+    executor = _make_executor(backend_name, prepared, current, telemetry)
     try:
         with telemetry.timer("chase"):
             terminated = _run_rounds(
@@ -771,8 +754,7 @@ def chase(
                 control=_RunControl.start(budget, cancel),
             )
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
 
     return ChaseResult(
         theory=theory,
@@ -791,8 +773,6 @@ def resume(
     budget: ChaseBudget | None = None,
     backend: str | None = None,
     cancel: CancellationToken | None = None,
-    max_atoms: int | None = None,
-    on_budget: str | None = None,
 ) -> ChaseResult:
     """Continue a chase for more rounds, reusing the computed prefix.
 
@@ -805,14 +785,8 @@ def resume(
     ``backend`` selects the round kernel exactly as in :func:`chase`;
     ``cancel`` and ``budget.deadline_s`` bound the continuation the same
     way they bound a fresh run.
-
-    .. versionchanged:: 1.2
-        The ``max_atoms=`` / ``on_budget=`` kwargs (deprecated since
-        1.1) now raise ``TypeError``; pass ``budget=ChaseBudget(...)``.
     """
-    budget = _coerce_budget(
-        budget, ChaseBudget(), max_atoms=max_atoms, on_budget=on_budget
-    )
+    budget = budget if budget is not None else ChaseBudget()
     backend_name = _resolve_chase_backend(backend)
     if result.terminated or extra_rounds <= 0:
         return result
@@ -834,11 +808,7 @@ def resume(
         delta = None
         delta_terms = None
 
-    executor: SequentialRoundExecutor | None = None
-    if backend_name == "columnar":
-        from .columnar_kernel import make_columnar_executor
-
-        executor = make_columnar_executor(prepared, current, telemetry)
+    executor = _make_executor(backend_name, prepared, current, telemetry)
     try:
         with telemetry.timer("chase"):
             terminated = _run_rounds(
@@ -857,8 +827,7 @@ def resume(
                 control=_RunControl.start(budget, cancel),
             )
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
 
     return ChaseResult(
         theory=result.theory,
@@ -872,11 +841,7 @@ def resume(
 
 
 def chase_to_fixpoint(
-    theory: Theory,
-    base: Instance,
-    budget: ChaseBudget | None = None,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
+    theory: Theory, base: Instance, budget: ChaseBudget | None = None
 ) -> ChaseResult:
     """Chase until a fixpoint, raising when budgets are exceeded.
 
@@ -884,17 +849,9 @@ def chase_to_fixpoint(
     chase on ``base``; the error keeps non-terminating cases loud.  Limits
     come from ``budget`` (a :class:`ChaseBudget`; ``on_exceeded`` is
     forced to ``"raise"`` here).
-
-    .. versionchanged:: 1.2
-        The ``max_rounds=`` / ``max_atoms=`` kwargs (deprecated since
-        1.1) now raise ``TypeError``; pass ``budget=ChaseBudget(...)``.
     """
-    budget = _coerce_budget(
-        budget,
-        ChaseBudget(max_rounds=200, max_atoms=500_000),
-        max_rounds,
-        max_atoms,
-    )
+    if budget is None:
+        budget = ChaseBudget(max_rounds=200, max_atoms=500_000)
     budget = replace(budget, on_exceeded="raise")
     result = chase(theory, base, budget=budget)
     if not result.terminated:

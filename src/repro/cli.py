@@ -152,121 +152,72 @@ def _print_stats(stats: dict) -> None:
         print(f"# round {cells}")
 
 
-def _guard_checkpoint_target(store, theory) -> None:
-    """Refuse to checkpoint into a database holding unrelated state.
-
-    Mirrors :func:`~repro.storage.chasestore.chase_into_store`'s own
-    guards for the in-memory fallback path: a db holding store-chase
-    state, a checkpoint of a different theory, or facts with no
-    checkpoint at all must not be silently merged into.
-    """
-    from .logic.serialize import dump_theory
-    from .storage import StoreChaseError
-
-    if store.get_meta("storechase.schema") is not None:
-        raise StoreChaseError(
-            "db holds store-chase state; refusing to overlay an in-memory "
-            "checkpoint (use a fresh --db, or --resume to continue it)"
-        )
-    persisted = store.get_meta("checkpoint.theory")
-    if persisted is None:
-        if len(store):
-            raise StoreChaseError(
-                "db holds facts but no checkpoint state; refusing to mix "
-                "(use a fresh --db)"
-            )
-    elif persisted != dump_theory(theory):
-        raise StoreChaseError(
-            "db holds a checkpoint of a different theory; refusing to mix"
-        )
-
-
 def _cmd_chase_sqlite(
     args: argparse.Namespace, theory, budget: ChaseBudget, cancel=None
 ) -> int:
     """``chase --backend sqlite``: materialize into (or resume from) a db.
 
-    Theories the store chase supports run entirely inside SQLite; rules
-    with universal head variables run in the in-memory engine with the
-    result persisted as a checkpoint.  The split is decided upfront from
-    the theory's syntax, so a store-state refusal (mismatched theory,
-    already-populated database) is always reported, never silently
-    papered over by the fallback.
+    Every theory runs inside SQLite through the store chase; its own
+    guards refuse a db chased under another theory, or holding facts
+    but no chase state.
     """
+    import sqlite3
+
     from .storage import (
-        CheckpointError,
+        SQLiteStore,
         StoreChaseError,
         chase_into_store,
-        open_checkpoint_store,
-        resume_from_checkpoint,
         resume_store_chase,
-        save_checkpoint,
     )
 
-    needs_memory_fallback = any(
-        rule.universal_head_variables() for rule in theory
-    )
+    path = args.db if args.db else ":memory:"
     try:
-        store_handle = open_checkpoint_store(args.db if args.db else ":memory:")
-    except CheckpointError as error:
-        print(f"error: {error}", file=sys.stderr)
+        store_handle = SQLiteStore(path)
+    except sqlite3.DatabaseError as error:
+        print(
+            f"error: {path!r} is not a readable SQLite database: {error}",
+            file=sys.stderr,
+        )
         return 2
     with store_handle as store:
         try:
             if args.resume:
-                if store.get_meta("storechase.schema") is not None:
-                    result = resume_store_chase(
-                        store, theory=theory, budget=budget, cancel=cancel
-                    )
-                    atom_count = result.atom_count
-                    rounds_run, terminated = result.rounds_run, result.terminated
-                    stats = result.stats.as_dict()
-                else:
-                    extended = resume_from_checkpoint(
-                        store, extra_rounds=args.rounds, budget=budget, theory=theory
-                    )
-                    atom_count = len(extended.instance)
-                    rounds_run, terminated = extended.rounds_run, extended.terminated
-                    stats = extended.stats.as_dict()
-            elif needs_memory_fallback:
-                instance = parse_instance(_read(args.instance, args.inline))
-                _guard_checkpoint_target(store, theory)
-                mem_result = chase(theory, instance, budget=budget, cancel=cancel)
-                save_checkpoint(mem_result, store)
-                atom_count = len(mem_result.instance)
-                rounds_run = mem_result.rounds_run
-                terminated = mem_result.terminated
-                stats = mem_result.stats.as_dict()
-            else:
-                instance = parse_instance(_read(args.instance, args.inline))
-                result = chase_into_store(
-                    theory, instance, store, budget=budget, cancel=cancel
+                result = resume_store_chase(
+                    store, theory=theory, budget=budget, cancel=cancel
                 )
-                atom_count = result.atom_count
-                rounds_run, terminated = result.rounds_run, result.terminated
-                stats = result.stats.as_dict()
-        except (StoreChaseError, CheckpointError) as error:
+            else:
+                result = chase_into_store(
+                    theory,
+                    parse_instance(_read(args.instance, args.inline)),
+                    store,
+                    budget=budget,
+                    cancel=cancel,
+                )
+        except StoreChaseError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         digest = store.digest()
         atoms = sorted(repr(item) for item in store)
+    stats = result.stats.as_dict()
     if args.json:
         _emit_json(
             {
                 "command": "chase",
                 "backend": "sqlite",
-                "db": args.db or ":memory:",
-                "atom_count": atom_count,
-                "rounds_run": rounds_run,
-                "terminated": terminated,
+                "db": path,
+                "atom_count": result.atom_count,
+                "rounds_run": result.rounds_run,
+                "terminated": result.terminated,
                 "digest": digest,
                 "atoms": atoms,
                 "stats": stats,
             }
         )
         return 0
-    status = "fixpoint" if terminated else f"truncated at {rounds_run} rounds"
-    print(f"# {atom_count} atoms ({status}) in sqlite db, digest {digest}")
+    status = (
+        "fixpoint" if result.terminated else f"truncated at {result.rounds_run} rounds"
+    )
+    print(f"# {result.atom_count} atoms ({status}) in sqlite db, digest {digest}")
     if args.stats:
         _print_stats(stats)
     for item in atoms:

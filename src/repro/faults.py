@@ -1,10 +1,9 @@
 """Deterministic fault injection for the chaos test-suite.
 
 The fault-tolerance layer (deadlines, cancellation, durable store-chase
-rounds, atomic checkpoints, lock retries — see ``docs/robustness.md``)
-is only trustworthy if its failure paths are *executed*, not just
-written.  This registry lets tests arm named faults at precise points of
-a run:
+rounds, lock retries — see ``docs/robustness.md``) is only trustworthy
+if its failure paths are *executed*, not just written.  This registry
+lets tests arm named faults at precise points of a run:
 
 >>> from repro import faults
 >>> faults.inject("storechase.kill", round=3)
@@ -24,9 +23,6 @@ typo or a stale site name can never silently disarm a chaos test):
     the worst point of the commit window;
 ``storechase.kill_midround``
     SIGKILL while the round's rows are still being inserted (uncommitted);
-``checkpoint.crash``
-    :func:`repro.storage.save_checkpoint_atomic` exits after writing the
-    temp file but before ``os.replace`` — the target must stay intact;
 ``sqlite.locked``
     the store's next guarded statement raises a synthetic ``database is
     locked``, exercising the bounded jittered-backoff retry.
@@ -55,7 +51,6 @@ ENV_VAR = "REPRO_FAULTS"
 SITES = (
     "storechase.kill",
     "storechase.kill_midround",
-    "checkpoint.crash",
     "sqlite.locked",
 )
 

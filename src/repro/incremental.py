@@ -74,12 +74,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
 
-from .chase.columnar_kernel import ColumnarRoundExecutor, make_columnar_executor
+from .chase.columnar_kernel import ColumnarRoundExecutor
 from .chase.engine import (
     CancellationToken,
     ChaseBudget,
     ChaseResult,
     Derivation,
+    _make_executor,
     _prepare_rules,
     _PreparedRule,
     _resolve_chase_backend,
@@ -187,10 +188,9 @@ def _rederive(
     return found
 
 
-def _check_retraction_supported(result: ChaseResult) -> None:
-    offenders = [
-        rule for rule in result.theory if rule.universal_head_variables()
-    ]
+def _check_retraction_supported(theory) -> None:
+    """Refuse retraction under universal head variables (both engines)."""
+    offenders = [rule for rule in theory if rule.universal_head_variables()]
     if offenders:
         raise ValueError(
             "retract is not supported for theories with universal head "
@@ -243,7 +243,7 @@ def incremental_update(
             f"instead): {sorted(map(str, derived_retracts))}"
         )
     if retract and any(item in result.base for item in retract):
-        _check_retraction_supported(result)
+        _check_retraction_supported(result.theory)
 
     budget = budget if budget is not None else ChaseBudget()
     backend_name = _resolve_chase_backend(backend)
@@ -342,12 +342,11 @@ def incremental_update(
         executed_before = counters["chase.rounds"]
         seed = new_to_instance + list(found)
         if seed:
-            executor = None
             if mirror is not None:
                 executor = ColumnarRoundExecutor(prepared, mirror, work)
                 mirror = None  # owned by the executor until the run ends
-            elif backend_name == "columnar":
-                executor = make_columnar_executor(prepared, current, work)
+            else:
+                executor = _make_executor(backend_name, prepared, current, work)
             try:
                 terminated = _run_rounds(
                     prepared,
@@ -365,10 +364,9 @@ def incremental_update(
                     control=_RunControl.start(budget, cancel),
                 )
             except BaseException:
-                if executor is not None:
-                    executor.close()
+                executor.close()
                 raise
-            if executor is not None:
+            if backend_name == "columnar":
                 mirror = executor.store
         rounds_run = len(round_added) - rounds_before
         counters["delta.rounds"] += counters["chase.rounds"] - executed_before

@@ -22,13 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..chase.engine import (
-    CancellationToken,
-    ChaseBudget,
-    ChaseResult,
-    _coerce_budget,
-    chase,
-)
+from ..chase.engine import CancellationToken, ChaseBudget, ChaseResult, chase
 from ..logic.containment import evaluate_ucq
 from ..logic.homomorphism import evaluate
 from ..logic.instance import Instance
@@ -109,8 +103,6 @@ def answer_by_materialization(
     depth: int | None = None,
     budget: ChaseBudget | None = None,
     prepared: ChaseResult | None = None,
-    max_rounds: int | None = None,
-    max_atoms: int | None = None,
     cancel: "CancellationToken | None" = None,
 ) -> set[tuple[Term, ...]]:
     """Certain answers via chasing.
@@ -122,17 +114,8 @@ def answer_by_materialization(
     ``budget=ChaseBudget(max_rounds=..., max_atoms=...)``.  Answers are
     restricted to base-domain tuples — certain answers over labelled
     nulls are not answers.
-
-    .. versionchanged:: 1.2
-        The ``max_rounds=`` / ``max_atoms=`` kwargs (deprecated since
-        1.1) now raise ``TypeError``; pass ``budget=ChaseBudget(...)``.
     """
-    budget = _coerce_budget(
-        budget,
-        DEFAULT_ANSWER_CHASE_BUDGET,
-        max_rounds,
-        max_atoms,
-    )
+    budget = budget if budget is not None else DEFAULT_ANSWER_CHASE_BUDGET
     if prepared is not None:
         result = prepared
     else:

@@ -4,9 +4,10 @@ Three backends, one registry (:data:`BACKEND_NAMES`, resolved everywhere
 through :func:`resolve_backend`): ``"memory"`` adapts the in-RAM
 ``Instance``, ``"columnar"`` holds interned id tuples with per-position
 hash indexes (the columnar chase kernel's data plane), ``"sqlite"``
-persists facts with UCQ rewritings compiled to SQL, chase
-checkpoint/resume, and a store-backed chase whose peak RSS is bounded by
-its batch size instead of the instance.
+persists facts with UCQ rewritings compiled to SQL, and runs a
+store-backed, resumable chase whose peak RSS is bounded by its batch
+size instead of the instance (plus the domain, for theories with
+universal head variables).
 
 Layout:
 
@@ -19,7 +20,6 @@ Layout:
 :mod:`~repro.storage.columnar`    :class:`ColumnarStore` (id tuples, indexes)
 :mod:`~repro.storage.sqlite`      :class:`SQLiteStore` (tables, dictionary)
 :mod:`~repro.storage.sqlcompile`  CQ/UCQ → SQL compilation + execution
-:mod:`~repro.storage.checkpoint`  persist/resume in-memory chase results
 :mod:`~repro.storage.chasestore`  the chase evaluated inside SQLite
 =====================  ===================================================
 """
@@ -34,15 +34,6 @@ from .base import (
     resolve_backend,
 )
 from .columnar import ColumnarStore
-from .checkpoint import (
-    CheckpointError,
-    checkpoint_chase,
-    load_checkpoint,
-    open_checkpoint_store,
-    resume_from_checkpoint,
-    save_checkpoint,
-    save_checkpoint_atomic,
-)
 from .chasestore import (
     StoreChaseError,
     StoreChaseResult,
@@ -56,7 +47,6 @@ from .sqlite import SQLiteStore
 
 __all__ = [
     "BACKEND_NAMES",
-    "CheckpointError",
     "ColumnarStore",
     "CompiledQuery",
     "FactStore",
@@ -66,19 +56,13 @@ __all__ = [
     "StoreChaseError",
     "StoreChaseResult",
     "chase_into_store",
-    "checkpoint_chase",
     "compile_ucq",
     "content_digest",
     "evaluate_ucq_sql",
     "execute_compiled",
     "instance_digest",
-    "load_checkpoint",
-    "open_checkpoint_store",
     "open_store",
     "resolve_backend",
-    "resume_from_checkpoint",
     "resume_store_chase",
-    "save_checkpoint",
-    "save_checkpoint_atomic",
     "update_store_chase",
 ]

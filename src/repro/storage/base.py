@@ -15,10 +15,9 @@ facts behind a small uniform interface with two implementations,
   facts in Python.
 
 Stores tag every fact with a *round* (0 for base facts), which is what
-makes chase checkpointing (:mod:`repro.storage.checkpoint`) and the
-store-backed chase (:mod:`repro.storage.chasestore`) round-exact: the
-``round_added`` partition of a :class:`~repro.chase.engine.ChaseResult`
-survives a trip through the store.
+makes the store-backed chase (:mod:`repro.storage.chasestore`)
+round-exact and resumable: its rounds are the ``round_added`` partition
+of a :class:`~repro.chase.engine.ChaseResult`.
 
 Content identity across backends is a :func:`content_digest`: the
 sha256 of the sorted fact reprs, truncated exactly like the bench

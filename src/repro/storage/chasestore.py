@@ -33,14 +33,18 @@ only in a :class:`~repro.storage.sqlite.SQLiteStore`:
   boundaries and inside long rounds; an interrupted round is rolled
   back, never half-applied.
 
-Not supported here: rules with *universal head variables* (the ``T_d``
-style ``true -> exists z. R(x, z)`` rules, whose head ranges over the
-active domain).  Those raise :class:`StoreChaseError`; the in-memory
-engine plus :mod:`repro.storage.checkpoint` covers them.
+Rules with *universal head variables* (the ``T_d`` style
+``true -> exists z. R(x, z)`` rules, whose head ranges over the active
+domain) run here too, in the object engine's enumeration order: each
+round reads the term ids of the facts up to round ``r-1``, with the ids
+first seen in round ``r-1`` as its delta.  That domain pool is held in
+RAM, so a universal theory's store chase has O(domain) peak RSS, not
+O(batch).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -55,11 +59,12 @@ from ..chase.engine import (
     _RoundInterrupt,
     _RunControl,
     note_interruption,
+    universal_matches,
 )
 from ..chase.planner import CONTROL_CHECK_STRIDE
 from ..chase.skolem import skolemize
 from ..logic.instance import Instance
-from ..logic.terms import Constant, FunctionTerm, Variable
+from ..logic.terms import FunctionTerm, Variable
 from ..logic.tgd import Theory
 from ..telemetry import Telemetry
 from .sqlcompile import build_select
@@ -69,7 +74,7 @@ STORE_CHASE_SCHEMA = "repro-storechase/1"
 
 
 class StoreChaseError(RuntimeError):
-    """The store chase cannot run: unsupported rule or inconsistent state."""
+    """The store chase cannot run: foreign, mismatched or inconsistent state."""
 
 
 @dataclass
@@ -99,120 +104,164 @@ class StoreChaseResult:
 
 
 # A head-slot recipe, resolved per sigma row: ("v", i) copies the i-th
-# projected body variable, ("f", functor, indices) interns a Skolem term
-# over those row positions, ("c", term_id) is a pre-interned constant.
+# sigma value (body variables first, then universal ones), ("f",
+# functor, indices) interns a Skolem term over those row positions,
+# ("c", term_id) is a pre-interned ground term.
 _Slot = tuple
+
+# The parent key recorded for a fact produced by a bodyless rule: such
+# a fact is derived (not base), yet no retraction can reach it.
+_EMPTY_BODY = "true"
 
 
 class _StoreRule:
     """A rule compiled for id-native application against a store."""
 
     def __init__(self, rule, store: SQLiteStore) -> None:
-        if rule.universal_head_variables():
-            raise StoreChaseError(
-                f"rule {rule.label or rule!r} has universal head variables; "
-                "the store-backed chase does not enumerate the active domain "
-                "(use the in-memory engine with repro.storage.checkpoint)"
-            )
         self.rule = rule
         skolemized = skolemize(rule)
         self.body = tuple(rule.body)
-        var_order: list[Variable] = []
+        body_vars: list[Variable] = []
         for item in self.body:
             for term in item.args:
-                if isinstance(term, Variable) and term not in var_order:
-                    var_order.append(term)
-        self.var_order = tuple(var_order)
-        index_of = {var: i for i, var in enumerate(var_order)}
+                if isinstance(term, Variable) and term not in body_vars:
+                    body_vars.append(term)
+        self.body_vars = tuple(body_vars)
+        # Universal head variables range over the round's domain; their
+        # values extend each body row (the planner's canonical order).
+        self.universal = tuple(
+            sorted(rule.universal_head_variables(), key=lambda var: var.name)
+        )
+        index_of = {var: i for i, var in enumerate(body_vars + list(self.universal))}
+
+        def slot(term) -> _Slot:
+            if isinstance(term, Variable):
+                return ("v", index_of[term])
+            return ("c", store.intern_term(term))
+
         self.head_specs: list[tuple] = []
         for item in skolemized.head:
             slots: list[_Slot] = []
             for term in item.args:
-                if isinstance(term, Variable):
-                    slots.append(("v", index_of[term]))
-                elif isinstance(term, FunctionTerm):
+                if isinstance(term, FunctionTerm) and not term.is_ground():
                     slots.append(
                         ("f", term.functor, tuple(index_of[arg] for arg in term.args))
                     )
-                elif isinstance(term, Constant):
-                    slots.append(("c", store.intern_term(term)))
-                else:  # pragma: no cover - the parser admits nothing else
-                    raise StoreChaseError(f"unsupported head term {term!r}")
+                else:
+                    slots.append(slot(term))
             self.head_specs.append((item.predicate, tuple(slots)))
         # Body-atom recipes for provenance: each body atom rendered as a
         # fact key per sigma row, recorded as the (child, parent) support
         # edges that ``update_store_chase`` walks to over-delete a
-        # retraction's cone.  ``None`` when a body term shape falls
-        # outside variable/constant (nothing the parser emits today).
-        body_specs: "list[tuple] | None" = []
-        for item in self.body:
-            slots = []
-            for term in item.args:
-                if isinstance(term, Variable):
-                    slots.append(("v", index_of[term]))
-                elif isinstance(term, Constant):
-                    slots.append(("c", store.intern_term(term)))
-                else:
-                    body_specs = None
-                    break
-            if body_specs is None:
-                break
-            body_specs.append((item.predicate, tuple(slots)))
-        self.body_specs = body_specs
+        # retraction's cone.
+        self.body_specs = [
+            (item.predicate, tuple(slot(term) for term in item.args))
+            for item in self.body
+        ]
 
-    def parent_keys(self, row: tuple) -> "list[str] | None":
-        """The body image of one sigma row, as fact keys (or ``None``)."""
-        if self.body_specs is None:
-            return None
+    def apply(self, row: tuple, store: SQLiteStore) -> "list[tuple]":
+        """Head fact rows (as id tuples, paired with predicates) for one sigma."""
+        out = []
+        for predicate, slots in self.head_specs:
+            ids = []
+            for slot in slots:
+                if slot[0] == "v":
+                    ids.append(row[slot[1]])
+                elif slot[0] == "f":
+                    ids.append(
+                        store.intern_function(
+                            slot[1], tuple(row[i] for i in slot[2])
+                        )
+                    )
+                else:
+                    ids.append(slot[1])
+            out.append((predicate, tuple(ids)))
+        return out
+
+    def parent_keys(self, row: tuple) -> "list[str]":
+        """The body image of one sigma row, as fact keys."""
         keys = []
         for predicate, slots in self.body_specs:
             ids = tuple(
                 row[slot[1]] if slot[0] == "v" else slot[1] for slot in slots
             )
             keys.append(fact_key(predicate, ids))
-        return keys
+        return keys or [_EMPTY_BODY]
 
-    def round_plans(self, round_number: int) -> "list[list]":
-        """The per-alias round bounds to evaluate this round's matches.
+    def select(self, store: SQLiteStore, bounds: list):
+        """Body rows (raw sigma tuples) under per-alias round bounds."""
+        compiled = build_select(
+            self.body, self.body_vars, store, round_bounds=bounds, distinct=False
+        )
+        if compiled is None:
+            return  # a body predicate has no fact table yet
+        counters = store.stats.counters
+        for row in store._select(compiled.sql, compiled.params):
+            counters["store.rows_scanned"] += 1
+            yield row
 
-        Round 1 is one full pass over the base (everything is round 0);
-        later rounds get one semi-naive plan per pivot position.
+    def sources(self, store: SQLiteStore, last: int, full: bool, domain):
+        """This round's sigma rows, as a list of row iterables.
+
+        ``full`` (the first round, or the re-derive pass after a
+        retraction) evaluates the body over everything up to round
+        ``last``; otherwise one semi-naive plan per pivot pins the pivot
+        to ``last``, atoms before it to strictly older rounds and atoms
+        after it to ``<= last``, so each delta-touching sigma comes up
+        exactly once.  Rules with universal variables extend the rows
+        through :func:`~repro.chase.engine.universal_matches` over
+        ``domain`` (see :func:`_domain`).
         """
-        last = round_number - 1
-        if round_number == 1:
-            return [[("le", 0)] * len(self.body)]
-        plans = []
-        for pivot in range(len(self.body)):
-            bounds: list = []
-            for position in range(len(self.body)):
-                if position < pivot:
-                    bounds.append(("lt", last))
-                elif position == pivot:
-                    bounds.append(("eq", last))
-                else:
-                    bounds.append(("le", last))
-            plans.append(bounds)
-        return plans
+        width = len(self.body)
+        everything = [("le", last)] * width
+        if full:
+            plans = [everything]
+        else:
+            plans = [
+                [("lt", last)] * pivot
+                + [("eq", last)]
+                + [("le", last)] * (width - pivot - 1)
+                for pivot in range(width)
+            ]
+        if width:
+            sources = [self.select(store, bounds) for bounds in plans]
+        else:  # an empty body has one empty match, in a full round only
+            sources = [((),)] if full else []
+        if not self.universal:
+            return sources
+        pool, delta_pool, old_pool = domain
+        paired = universal_matches(
+            len(self.universal),
+            itertools.chain.from_iterable(sources),
+            lambda: self.select(store, everything) if width else ((),),
+            pool,
+            None if full or not delta_pool else (delta_pool, old_pool),
+        )
+        return [(row + values for row, values in paired)]
 
 
-def _apply_rule(rule: _StoreRule, row: tuple, store: SQLiteStore) -> "list[tuple]":
-    """Head fact rows (as id tuples, paired with predicates) for one sigma."""
-    out = []
-    for predicate, slots in rule.head_specs:
-        ids = []
-        for slot in slots:
-            if slot[0] == "v":
-                ids.append(row[slot[1]])
-            elif slot[0] == "f":
-                ids.append(
-                    store.intern_function(
-                        slot[1], tuple(row[i] for i in slot[2])
-                    )
-                )
-            else:
-                ids.append(slot[1])
-        out.append((predicate, tuple(ids)))
-    return out
+def _domain(store: SQLiteStore, last: int) -> "tuple[list, list, list]":
+    """The term ids of facts up to round ``last``: ``(pool, delta, old)``.
+
+    ``delta`` holds the ids first seen in round ``last`` (the terms the
+    previous round invented), ``old`` the rest.  Ordered by id; held in
+    RAM, so a universal theory's store chase is O(domain) in memory.
+    """
+    first_seen: dict[int, int] = {}
+    for predicate, table in store._tables.items():
+        for position in range(predicate.arity):
+            for term_id, round_ in store._select(
+                f"SELECT a{position}, MIN(round) FROM {table} "
+                f"WHERE round <= ? GROUP BY a{position}",
+                (last,),
+            ):
+                seen = first_seen.get(term_id)
+                if seen is None or round_ < seen:
+                    first_seen[term_id] = round_
+    pool = sorted(first_seen)
+    delta = [term_id for term_id in pool if first_seen[term_id] == last]
+    old = [term_id for term_id in pool if first_seen[term_id] != last]
+    return pool, delta, old
 
 
 def _theory_text(theory: Theory) -> str:
@@ -276,8 +325,7 @@ def _execute_round(
     prepared: "list[_StoreRule]",
     round_number: int,
     control: "_RunControl | None",
-    plans_for,
-    fire_bodyless: bool,
+    full: bool,
 ) -> "tuple[int, int, int]":
     """One store round's trigger matching and batched inserts.
 
@@ -290,16 +338,18 @@ def _execute_round(
     first (:func:`_filter_existing_supports`), so base facts never
     acquire edges and never enter the deletion cascade.
 
-    ``plans_for`` maps a rule to its round-bound plans (the standard
-    semi-naive pivots for a chase round, one full-width pass for the
-    re-derive round after a retraction); ``fire_bodyless`` gates the
-    once-only bodyless rules.  Raises
+    ``full`` selects full-width evaluation (see :meth:`_StoreRule.sources`)
+    — the first chase round, or the re-derive round after a retraction —
+    over the standard semi-naive pivots.  Raises
     :class:`~repro.chase.engine._RoundInterrupt` on deadline or
     cancellation, leaving the partial round uncommitted.
     """
-    counters = store.stats.counters
     batch_size = store.batch_size
     stride = CONTROL_CHECK_STRIDE - 1
+    last = round_number - 1
+    domain = (
+        _domain(store, last) if any(rule.universal for rule in prepared) else None
+    )
     matches = 0
     produced_rows = 0
     inserted = 0
@@ -309,43 +359,22 @@ def _execute_round(
             reason = control.interruption()
             if reason is not None:
                 raise _RoundInterrupt(reason)
-        if not rule.body:
-            # Bodyless rules (no universal variables, so the head is
-            # ground after skolemization) fire exactly once.
-            if not fire_bodyless:
-                continue
-            matches += 1
-            for predicate, ids in _apply_rule(rule, (), store):
-                produced_rows += 1
-                inserted += store.insert_rows(predicate, [ids], round_number)
-            continue
-        for bounds in plans_for(rule):
-            compiled = build_select(
-                rule.body,
-                rule.var_order,
-                store,
-                round_bounds=bounds,
-                distinct=False,
-            )
-            if compiled is None:
-                continue  # a body predicate has no fact table yet
+        for source in rule.sources(store, last, full, domain):
             pending: dict = {}
             pending_rows = 0
-            for row in store._select(compiled.sql, compiled.params):
+            for row in source:
                 matches += 1
                 if control is not None and not (matches & stride):
                     reason = control.interruption()
                     if reason is not None:
                         raise _RoundInterrupt(reason)
-                counters["store.rows_scanned"] += 1
                 parents = rule.parent_keys(row)
-                for predicate, ids in _apply_rule(rule, row, store):
+                for predicate, ids in rule.apply(row, store):
                     produced_rows += 1
                     pending.setdefault(predicate, []).append(ids)
                     pending_rows += 1
-                    if parents:
-                        child = fact_key(predicate, ids)
-                        supports.extend((child, parent) for parent in parents)
+                    child = fact_key(predicate, ids)
+                    supports.extend((child, parent) for parent in parents)
                 if pending_rows >= batch_size:
                     _filter_existing_supports(store, supports)
                     for predicate, rows in pending.items():
@@ -384,24 +413,16 @@ def chase_into_store(
     written after every round, so even a killed process resumes
     round-exactly.
 
-    Raises :class:`StoreChaseError` for rules with universal head
-    variables, mismatched resume state, or a non-empty store with no
-    chase state.  Budget overruns — including ``budget.deadline_s`` and
-    a fired ``cancel`` token — follow ``budget.on_exceeded``; either
-    way the store holds the last *complete* round and can be resumed.
+    Raises :class:`StoreChaseError` for mismatched resume state or a
+    non-empty store with no chase state.  Budget overruns — including
+    ``budget.deadline_s`` and a fired ``cancel`` token — follow
+    ``budget.on_exceeded``; either way the store holds the last
+    *complete* round and can be resumed.
     """
     budget = budget if budget is not None else ChaseBudget()
     stats = store.stats
     counters = stats.counters
     theory_text = _theory_text(theory)
-
-    # Compile the rules before touching any persistent state: an
-    # unsupported theory (universal head variables) must fail with the
-    # store unchanged — no base facts loaded, no ``storechase.*`` meta
-    # written — so callers can fall back to the in-memory engine against
-    # the same database without leaving mixed state behind.
-    prepared = [_StoreRule(rule, store) for rule in theory]
-
     schema = store.get_meta("storechase.schema")
     if schema is not None:
         if schema != STORE_CHASE_SCHEMA:
@@ -466,6 +487,7 @@ def chase_into_store(
         store.commit()
         total = len(store)
 
+    prepared = [_StoreRule(rule, store) for rule in theory]
     control = _RunControl.start(budget, cancel)
     interrupted: "str | None" = None
 
@@ -481,12 +503,7 @@ def chase_into_store(
             terms_before = counters["store.terms_interned"]
             try:
                 matches, produced_rows, inserted = _execute_round(
-                    store,
-                    prepared,
-                    round_number,
-                    control,
-                    lambda rule: rule.round_plans(round_number),
-                    fire_bodyless=(round_number == 1),
+                    store, prepared, round_number, control, full=round_number == 1
                 )
             except _RoundInterrupt as stop:
                 # Abandon the round wholesale: rows inserted so far are
@@ -609,9 +626,11 @@ def update_store_chase(
     store and re-chasing the updated base from scratch.
 
     Raises :class:`StoreChaseError` for missing/unterminated/foreign
-    chase state, pre-supports databases on retraction, and theories with
-    universal head variables; ``ValueError`` for retracting a derived
-    fact or adding and retracting the same fact.
+    chase state and pre-supports databases on retraction; ``ValueError``
+    — as :func:`repro.incremental.incremental_update` does — for
+    retracting a derived fact (bodyless-rule productions included),
+    retracting under a theory with universal head variables, or adding
+    and retracting the same fact.
     """
     budget = budget if budget is not None else ChaseBudget()
     stats = store.stats
@@ -669,6 +688,10 @@ def update_store_chase(
                     "ancestors instead)"
                 )
             removed_keys.append(key)
+        if removed_keys:
+            from ..incremental import _check_retraction_supported
+
+            _check_retraction_supported(theory)
         to_insert = [item for item in add if item not in store]
         promoted_keys = []
         for item in add:
@@ -735,25 +758,13 @@ def update_store_chase(
             round_number = rounds_run + 1
             round_started = time.perf_counter()
             terms_before = counters["store.terms_interned"]
+            # After a retraction the closure is broken: one full-width
+            # pass over the survivors (including facts the update just
+            # added), then standard semi-naive pivots take over.
             full_pass = first_round and needs_repair
-            if full_pass:
-                # The retraction broke the closure: one full-width pass
-                # over the survivors (including facts the update just
-                # added), then standard semi-naive pivots take over.
-                last = round_number - 1
-                plans_for = (
-                    lambda rule: [[("le", last)] * len(rule.body)]
-                )
-            else:
-                plans_for = lambda rule: rule.round_plans(round_number)
             try:
                 matches, produced_rows, inserted = _execute_round(
-                    store,
-                    prepared,
-                    round_number,
-                    control,
-                    plans_for,
-                    fire_bodyless=full_pass,
+                    store, prepared, round_number, control, full=full_pass
                 )
             except _RoundInterrupt as stop:
                 store.rollback()

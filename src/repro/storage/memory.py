@@ -1,10 +1,10 @@
 """The in-RAM fact store: an adapter over :class:`~repro.logic.instance.Instance`.
 
-This backend exists so every storage-layer consumer (checkpointing, the
-CLI's backend switch, equivalence tests) can be written once against the
+This backend exists so every storage-layer consumer (the CLI's backend
+switch, equivalence tests) can be written once against the
 :class:`~repro.storage.base.FactStore` contract and run unchanged over
 RAM or SQLite.  It adds exactly one thing to ``Instance``: the per-fact
-round tag that checkpointing needs.
+round tag of the contract.
 """
 
 from __future__ import annotations

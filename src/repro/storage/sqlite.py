@@ -19,11 +19,12 @@ This is the durable data plane behind ``backend="sqlite"``.  Schema:
     plus one index per non-leading position — the SQL analogue of the
     ``(predicate, position, term)`` index that makes the in-memory
     homomorphism search usable.  ``round`` tags the chase round that
-    first produced the fact (0 = base), powering checkpoint/resume.
+    first produced the fact (0 = base), powering the store chase's
+    semi-naive rounds and its resume.
 
 ``repro_predicates`` / ``repro_meta``
     the catalog mapping predicates to table names, and a key/value side
-    table for checkpoint state.
+    table for the store chase's persisted state.
 
 Writes are **batched**: ``add``/``add_many`` append to a buffer that is
 flushed with one ``executemany`` per predicate inside a single
@@ -170,7 +171,8 @@ class SQLiteStore(TermInterningMixin):
         if wal:
             # Durability tuned for a data plane, not a ledger: WAL keeps
             # readers unblocked during chase flushes, NORMAL sync is safe
-            # against process crashes (checkpoints re-derive on power loss).
+            # against process crashes (a power loss may drop the last
+            # committed rounds; the store chase resumes from what remains).
             granted = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
             self._conn.execute("PRAGMA synchronous=NORMAL")
         else:
@@ -763,7 +765,7 @@ class SQLiteStore(TermInterningMixin):
         self.commit()
 
     # ------------------------------------------------------------------
-    # Metadata (checkpoints)
+    # Metadata (persisted chase state)
     # ------------------------------------------------------------------
     def get_meta(self, key: str, default: "str | None" = None) -> "str | None":
         row = self._select(

@@ -211,10 +211,10 @@ class Telemetry:
     def from_dict(cls, stats: dict[str, Any]) -> "Telemetry":
         """Rebuild a collector from an :meth:`as_dict` snapshot.
 
-        The chase checkpointing layer (:mod:`repro.storage.checkpoint`)
-        persists a run's stats and restores them here, so a resumed
-        chase continues its counters and per-round records exactly as
-        :func:`repro.chase.engine.resume` expects.  Validates the input
+        The store-backed chase (:mod:`repro.storage.chasestore`)
+        persists a run's stats and restores them here, so a chase
+        resumed from another connection continues its counters and
+        per-round records exactly as one uninterrupted run.  Validates the input
         via :func:`validate_stats_dict` first.
         """
         validate_stats_dict(stats)

@@ -83,27 +83,21 @@ class TestChaseSqliteBackend:
         reference = json.loads(capsys.readouterr().out)
         assert resumed["digest"] == reference["digest"]
 
-    def test_chase_sqlite_falls_back_for_universal_heads(self, tmp_path, capsys):
-        # T_d-style rules can't run inside the store; the CLI chases in
-        # RAM and checkpoints the result instead of failing.
-        db = str(tmp_path / "fallback.db")
-        code = main(
-            [
-                "chase", "-e", "P(x) -> Q(x, y)", "P(a)",
-                "--rounds", "2", "--backend", "sqlite", "--db", db, "--json",
-            ]
-        )
+    def test_chase_sqlite_runs_universal_heads_in_store(self, tmp_path, capsys):
+        # Universal head variables run inside the store like any rule:
+        # the db holds store-chase state and --resume continues it to
+        # the memory engine's atoms.
+        db = str(tmp_path / "universal.db")
+        args = ["chase", "-e", "P(x) -> Q(x, y)", "P(a)", "--json"]
+        code = main(args + ["--rounds", "1", "--backend", "sqlite", "--db", db])
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["backend"] == "sqlite"
         assert any("Q(a," in atom for atom in document["atoms"])
-        # The fallback writes checkpoint state only — never storechase.*
-        # meta — so a later --resume continues the checkpoint cleanly.
         from repro.storage import SQLiteStore
 
         with SQLiteStore(db) as store:
-            assert store.get_meta("storechase.schema") is None
-            assert store.get_meta("checkpoint.schema") is not None
+            assert store.get_meta("storechase.schema") is not None
         code = main(
             [
                 "chase", "-e", "P(x) -> Q(x, y)", "--resume",
@@ -111,11 +105,15 @@ class TestChaseSqliteBackend:
             ]
         )
         assert code == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["terminated"]
+        assert main(args + ["--rounds", "3"]) == 0
+        assert resumed["atoms"] == json.loads(capsys.readouterr().out)["atoms"]
 
     def test_chase_sqlite_refuses_mixed_theories(self, tmp_path, capsys):
         # Re-running against an existing db with an unrelated theory must
-        # be a reported refusal, not a silent checkpoint-merge of two
-        # incompatible chases (the old except-StoreChaseError fallback).
+        # be a reported refusal, not a silent merge of two incompatible
+        # chases.
         db = str(tmp_path / "mix.db")
         first = [
             "chase", "-e", self.TC, "E(a, b). E(b, c)",
@@ -137,10 +135,9 @@ class TestChaseSqliteBackend:
         with SQLiteStore(db) as store:
             assert store.digest() == before
 
-    def test_chase_sqlite_fallback_refuses_dirty_db(self, tmp_path, capsys):
-        # The universal-head fallback must not overlay a checkpoint onto
-        # a db already holding a store chase (or a different theory's
-        # checkpoint).
+    def test_chase_sqlite_universal_theory_refuses_dirty_db(self, tmp_path, capsys):
+        # A universal theory gets the store chase's own guard: a db
+        # already chased under another theory is refused and untouched.
         db = str(tmp_path / "dirty.db")
         assert main(
             [
@@ -148,7 +145,7 @@ class TestChaseSqliteBackend:
                 "--rounds", "1", "--backend", "sqlite", "--db", db, "--json",
             ]
         ) == 0
-        capsys.readouterr()
+        before = json.loads(capsys.readouterr().out)["digest"]
         code = main(
             [
                 "chase", "-e", "P(x) -> Q(x, y)", "P(a)",
@@ -157,11 +154,15 @@ class TestChaseSqliteBackend:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "store-chase state" in captured.err
+        assert "refusing to mix" in captured.err
+        from repro.storage import SQLiteStore
+
+        with SQLiteStore(db) as store:
+            assert store.digest() == before
 
     def test_chase_sqlite_resume_requires_db(self, capsys):
         # A fresh :memory: store can never hold resumable state; fail
-        # with a diagnostic instead of an uncaught CheckpointError.
+        # with a diagnostic instead of an uncaught StoreChaseError.
         code = main(
             ["chase", "-e", self.TC, "--resume", "--backend", "sqlite"]
         )

@@ -70,12 +70,12 @@ class TestRoundEquivalence:
         assert_columnar_identical(t_p(), edge_path(4), rounds=4)
 
     def test_t_d_universal_rules_on_green_path(self):
-        # Universal head variables (the T_d family) are outside the
-        # kernel's datalog shape; those rules fall back to the object
-        # engine while the rest stay columnar — same rounds either way.
+        # Empty bodies and universal head variables (the T_d family) run
+        # in the kernel too: every match of the run is a columnar one.
         result = assert_columnar_identical(t_d(), green_path(3), rounds=3)
-        assert result.stats.counters["columnar.fallback_rules"] > 0
-        assert result.stats.counters["columnar.matches"] > 0
+        counters = result.stats.counters
+        assert "columnar.fallback_rules" not in counters
+        assert counters["columnar.matches"] == counters["chase.matches"] > 0
 
     def test_exercise23_on_cycle(self):
         assert_columnar_identical(exercise23(), edge_cycle(4), rounds=4)
@@ -200,7 +200,7 @@ class TestColumnarTelemetry:
         assert counters["columnar.rules"] > 0
         assert counters["columnar.matches"] == counters["chase.matches"]
         assert counters["columnar.atoms_produced"] == counters["chase.atoms_produced"]
-        assert "columnar.fallback_rules" not in counters  # all datalog-shaped
+        assert "columnar.fallback_rules" not in counters
         assert counters["hom.nodes"] > 0  # join effort reported as hom.*
 
     def test_memory_backend_has_no_columnar_counters(self):

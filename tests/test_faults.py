@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,16 +34,10 @@ from repro.chase import (
     resume,
 )
 from repro.logic import parse_instance, parse_theory
-from repro.storage import (
-    CheckpointError,
-    SQLiteStore,
-    chase_into_store,
-    load_checkpoint,
-    open_checkpoint_store,
-    resume_store_chase,
-    save_checkpoint_atomic,
-)
+from repro.cli import main
+from repro.storage import SQLiteStore, chase_into_store, resume_store_chase
 from repro.storage.base import content_digest
+from repro.workloads import green_path, t_d
 from repro.telemetry import Telemetry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,6 +257,14 @@ class TestSQLiteHardening:
 class TestStoreChaseCrash:
     """SIGKILL at randomized rounds; resume is digest- and counter-exact."""
 
+    # The run every test cuts and resumes: a theory, a base, the one-shot
+    # budget it is compared against and whether that run reaches a fixpoint.
+    budget = ChaseBudget()
+    terminates = True
+
+    def workload(self):
+        return terminating_theory(), chain(12)
+
     def setup_method(self):
         faults.clear()
 
@@ -269,29 +272,36 @@ class TestStoreChaseCrash:
         faults.clear()
 
     def _reference(self):
-        theory, base = terminating_theory(), chain(12)
-        result = chase_into_store(theory, base, SQLiteStore(":memory:"))
-        assert result.terminated
+        theory, base = self.workload()
+        result = chase_into_store(
+            theory, base, SQLiteStore(":memory:"), budget=self.budget
+        )
+        assert result.terminated == self.terminates
         return theory, base, result
 
+    def _resume(self, store):
+        """Resume with the rounds the one-shot budget has left."""
+        done = int(store.get_meta("storechase.rounds"))
+        return resume_store_chase(
+            store, budget=replace(self.budget, max_rounds=self.budget.max_rounds - done)
+        )
+
     def _kill_subprocess(self, fault, db_path, batch_size=4096):
+        theory, base = self.workload()
+        rules = "\n".join(repr(rule) for rule in theory)
+        facts = " ".join(f"{item!r}." for item in base)
         script = (
             "import os, sys\n"
             f"os.environ['REPRO_FAULTS'] = {fault!r}\n"
             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from repro.chase import ChaseBudget\n"
             "from repro.storage import SQLiteStore, chase_into_store\n"
             "from repro.logic import parse_instance, parse_theory\n"
-            "theory = parse_theory(\n"
-            "    'E(x, y) -> R(x, y)\\n'\n"
-            "    'R(x, y), E(y, z) -> R(x, z)\\n'\n"
-            "    'R(x, y) -> exists w. S(y, w)\\n'\n"
-            "    'S(x, y) -> T(y)',\n"
-            "    name='chaos',\n"
-            ")\n"
-            "base = parse_instance(' '.join(\n"
-            "    f'E(a{i}, a{i + 1}).' for i in range(12)))\n"
+            f"theory = parse_theory({rules!r})\n"
+            f"base = parse_instance({facts!r})\n"
             f"store = SQLiteStore({str(db_path)!r}, batch_size={batch_size})\n"
-            "chase_into_store(theory, base, store)\n"
+            "chase_into_store(theory, base, store, "
+            f"budget=ChaseBudget(max_rounds={self.budget.max_rounds}))\n"
             "raise SystemExit('fault did not fire')\n"
         )
         proc = subprocess.run(
@@ -300,17 +310,19 @@ class TestStoreChaseCrash:
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         return proc
 
+    def _assert_resumed_exactly(self, resumed, reference):
+        assert resumed.terminated == reference.terminated
+        assert resumed.digest() == reference.digest()
+        assert_counters_match(resumed.stats, reference.stats)
+
     @pytest.mark.parametrize("round_", [1, 2, 4])
     def test_sigkill_before_commit_resumes_exactly(self, tmp_path, round_):
         theory, base, reference = self._reference()
         db = tmp_path / f"kill{round_}.db"
         self._kill_subprocess(f"storechase.kill@{round_}", db)
-        with open_checkpoint_store(db) as store:
+        with SQLiteStore(db) as store:
             assert int(store.get_meta("storechase.rounds")) == round_ - 1
-            resumed = resume_store_chase(store)
-            assert resumed.terminated
-            assert resumed.digest() == reference.digest()
-            assert_counters_match(resumed.stats, reference.stats)
+            self._assert_resumed_exactly(self._resume(store), reference)
 
     @pytest.mark.parametrize("round_", [2, 3])
     def test_sigkill_midround_resumes_exactly(self, tmp_path, round_):
@@ -319,12 +331,9 @@ class TestStoreChaseCrash:
         # A small batch size forces the mid-round insert path to run (and
         # the kill to land) while the round's rows are still uncommitted.
         self._kill_subprocess(f"storechase.kill_midround@{round_}", db, batch_size=4)
-        with open_checkpoint_store(db) as store:
+        with SQLiteStore(db) as store:
             assert int(store.get_meta("storechase.rounds")) < round_
-            resumed = resume_store_chase(store)
-            assert resumed.terminated
-            assert resumed.digest() == reference.digest()
-            assert_counters_match(resumed.stats, reference.stats)
+            self._assert_resumed_exactly(self._resume(store), reference)
 
     def test_store_chase_cancel_rolls_back_midround(self):
         theory, base, reference = self._reference()
@@ -341,73 +350,53 @@ class TestStoreChaseCrash:
 
         SQLiteStore._select = tripping
         try:
-            cut = chase_into_store(theory, base, store, cancel=token)
+            cut = chase_into_store(
+                theory, base, store, budget=self.budget, cancel=token
+            )
         finally:
             SQLiteStore._select = original
         assert not cut.terminated
         assert store.stats.counters["chase.cancelled"] == 1
-        resumed = resume_store_chase(store)
-        assert resumed.terminated
-        assert resumed.digest() == reference.digest()
-        assert_counters_match(resumed.stats, reference.stats)
+        self._assert_resumed_exactly(self._resume(store), reference)
 
     def test_store_chase_deadline_zero(self):
         theory, base, reference = self._reference()
         store = SQLiteStore(":memory:")
         cut = chase_into_store(
-            theory, base, store, budget=ChaseBudget(deadline_s=0.0)
+            theory, base, store, budget=replace(self.budget, deadline_s=0.0)
         )
         assert cut.rounds_run == 0 and not cut.terminated
         assert store.stats.counters["chase.deadline_hit"] == 1
-        resumed = resume_store_chase(store)
-        assert resumed.terminated
+        resumed = self._resume(store)
+        assert resumed.terminated == reference.terminated
         assert resumed.digest() == reference.digest()
 
 
-class TestCheckpointAtomicity:
-    def setup_method(self):
-        faults.clear()
+class TestStoreChaseCrashTd(TestStoreChaseCrash):
+    """The same cuts under ``T_d`` (bodyless rules, a universal head
+    variable), compared with its one-shot four-round prefix."""
 
-    def teardown_method(self):
-        faults.clear()
+    budget = ChaseBudget(max_rounds=4)
+    terminates = False
 
-    def test_atomic_save_round_trips(self, tmp_path):
-        theory, base = terminating_theory(), chain(6)
-        result = chase(theory, base)
-        target = tmp_path / "ck.db"
-        save_checkpoint_atomic(result, target)
-        with open_checkpoint_store(target) as store:
-            loaded = load_checkpoint(store)
-        assert content_digest(loaded.instance) == content_digest(result.instance)
-        assert not list(tmp_path.glob("*.tmp.*"))
+    def workload(self):
+        return t_d(), green_path(3)
 
-    def test_crash_between_write_and_rename_keeps_old_file(self, tmp_path):
-        theory, base = terminating_theory(), chain(6)
-        target = tmp_path / "ck.db"
-        save_checkpoint_atomic(chase(theory, base), target)
-        before = target.read_bytes()
-        script = (
-            "import os, sys\n"
-            "os.environ['REPRO_FAULTS'] = 'checkpoint.crash'\n"
-            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
-            "from repro.chase import chase\n"
-            "from repro.storage import save_checkpoint_atomic\n"
-            "from repro.logic import parse_instance, parse_theory\n"
-            "theory = parse_theory('E(x, y) -> R(x, y)', name='crash')\n"
-            "base = parse_instance('E(a, b). E(b, c).')\n"
-            f"save_checkpoint_atomic(chase(theory, base), {str(target)!r})\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
-        assert proc.returncode == 70, proc.stderr
-        assert target.read_bytes() == before  # old checkpoint untouched
 
-    def test_corrupt_database_is_a_checkpoint_error(self, tmp_path):
+class TestCorruptDatabase:
+    def test_corrupt_db_exits_2_naming_the_path(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.db"
         garbage.write_bytes(b"not a sqlite file" * 64)
-        with pytest.raises(CheckpointError):
-            open_checkpoint_store(garbage)
+        before = garbage.read_bytes()
+        code = main(
+            [
+                "chase", "-e", "E(x, y) -> R(x, y)", "E(a, b)",
+                "--backend", "sqlite", "--db", str(garbage),
+            ]
+        )
+        assert code == 2
+        assert str(garbage) in capsys.readouterr().err
+        assert garbage.read_bytes() == before
 
 
 class TestTelemetryTimer:
@@ -482,7 +471,7 @@ class TestCLISigint:
             reference,
             budget=ChaseBudget(max_rounds=5000, max_atoms=99_999_999),
         )
-        with open_checkpoint_store(db) as store:
+        with SQLiteStore(db) as store:
             resumed = resume_store_chase(
                 store,
                 budget=ChaseBudget(max_rounds=5000, max_atoms=99_999_999),

@@ -394,6 +394,44 @@ class TestPropertyEquivalence:
 # ----------------------------------------------------------------------
 # Store-backed updates
 # ----------------------------------------------------------------------
+BODYLESS = parse_theory(
+    "true -> exists x. R(x, x)\nE(x, y) -> T(x, y)", name="bodyless"
+)
+
+
+class TestBodylessProductions:
+    """A fact produced by a bodyless rule is derived, never base."""
+
+    def _skolem_fact(self, run):
+        return next(item for item in run.instance if item.predicate.name == "R")
+
+    @pytest.mark.parametrize("backend", ["memory", "columnar"])
+    def test_engine_refuses_retraction(self, backend):
+        base = parse_instance("E(a, b).")
+        run = chase(BODYLESS, base, budget=BUDGET, backend=backend)
+        with pytest.raises(ValueError, match="derived"):
+            incremental_update(run, retract=[self._skolem_fact(run)], backend=backend)
+
+    def test_store_refuses_retraction_untouched(self):
+        base = parse_instance("E(a, b).")
+        run = chase(BODYLESS, base, budget=BUDGET)
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(BODYLESS, base, store, budget=BUDGET)
+            before = store.digest()
+            with pytest.raises(ValueError, match="derived"):
+                update_store_chase(store, BODYLESS, retract=[self._skolem_fact(run)])
+            assert store.stats.counters["delta.retracted_base"] == 0
+            assert store.digest() == before
+
+    def test_store_retracting_base_keeps_the_bodyless_fact(self):
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(
+                BODYLESS, parse_instance("E(a, b). E(b, c)."), store, budget=BUDGET
+            )
+            update_store_chase(store, BODYLESS, retract=[fact("E(a, b).")])
+            assert store.digest() == scratch_digest(BODYLESS, {fact("E(b, c).")})
+
+
 class TestStoreUpdates:
     def test_round_trip_add_retract(self):
         base = parse_instance("E(a, b). E(b, c).")
@@ -413,6 +451,21 @@ class TestStoreUpdates:
             chase_into_store(TC, parse_instance("E(a, b). E(b, c)."), store, budget=BUDGET)
             with pytest.raises(ValueError, match="derived"):
                 update_store_chase(store, TC, retract=[fact("E(a, c).")])
+
+    def test_universal_heads_refuse_retraction_allow_addition(self):
+        # The store chase runs universal heads now; retraction is refused
+        # with incremental_update's own ValueError, the store untouched.
+        theory = parse_theory("P(x) -> Q(x, y)", name="universal-head")
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(theory, parse_instance("P(a)."), store, budget=BUDGET)
+            before = store.digest()
+            with pytest.raises(ValueError, match="universal head"):
+                update_store_chase(store, theory, retract=[fact("P(a).")])
+            assert store.digest() == before
+            update_store_chase(store, theory, add=[fact("P(b).")], budget=BUDGET)
+            assert store.digest() == scratch_digest(
+                theory, {fact("P(a)."), fact("P(b).")}
+            )
 
     def test_base_facts_never_gain_supports(self):
         # E(a, c) is base AND re-derivable: the support recorder must

@@ -238,6 +238,37 @@ class TestEndToEnd:
 
         run(_with_service(body))
 
+    def test_retracting_a_bodyless_production_is_409_cold_or_cached(self):
+        """``Ready()`` comes from a bodyless rule: derived, so a retraction
+        conflicts whether or not the session has materialized the base."""
+
+        async def body(service):
+            theory = parse_theory(
+                "true -> Ready()\nE(x, y) -> P(x)", name="ready"
+            )
+            client = await ServiceClient(service.host, service.port).connect()
+            tid = (await client.register_theory(theory))["id"]
+            await client.upload_facts(tid, parse_instance("E(a, b)"))
+            ready = parse_instance("Ready()")
+            entry = service.registry.get(tid)
+            # Cold: no fixpoint cached, the store chase's supports decide.
+            assert entry.session.cache_info()["chase"]["entries"] == 0
+            with pytest.raises(ServiceError) as excinfo:
+                await client.retract_facts(tid, ready)
+            assert excinfo.value.status == 409
+            # Warm: the session maintains a cached fixpoint and refuses first.
+            entry.session.materialize(entry.base)
+            assert entry.session.cache_info()["chase"]["entries"] == 1
+            with pytest.raises(ServiceError) as excinfo:
+                await client.retract_facts(tid, ready)
+            assert excinfo.value.status == 409
+            probe = parse_query("q() := Ready()")
+            document = await client.query(tid, probe, backend="sqlite")
+            assert document["answers"] == [[]]
+            await client.close()
+
+        run(_with_service(body))
+
     def test_malformed_http_answers_400_and_closes(self):
         async def body(service):
             reader, writer = await asyncio.open_connection(

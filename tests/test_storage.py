@@ -4,7 +4,7 @@ Covers the :class:`FactStore` contract on both backends, content
 digests, the id-native bulk-insert path, SQL compilation of UCQ
 rewritings, and the store-backed chase's error surface.  End-to-end
 equivalence properties live in ``test_storage_equivalence.py``;
-checkpoint/resume exactness in ``test_storage_checkpoint.py``.
+store-chase resume exactness in ``test_storage_checkpoint.py``.
 """
 
 from __future__ import annotations
@@ -278,26 +278,31 @@ class TestStoreChase:
             with pytest.raises(StoreChaseError):
                 chase_into_store(theory, edge_cycle(3), handle)
 
-    def test_rejects_universal_head_variables(self):
-        # T_d-style rules with fresh universal head variables have no
-        # Skolem reading; the store chase must refuse, not guess.
+    def test_accepts_universal_head_variables(self):
+        # A universal head variable ranges over the round's active
+        # domain, inside the store exactly as in RAM.
         theory = parse_theory("P(x) -> Q(x, y)", name="universal-head")
+        base = parse_instance("P(a). P(b)")
+        reference = chase(theory, base, backend="memory")
         with SQLiteStore(":memory:") as handle:
-            with pytest.raises(StoreChaseError):
-                chase_into_store(theory, parse_instance("P(a)"), handle)
+            outcome = chase_into_store(theory, base, handle)
+            assert outcome.terminated
+            assert outcome.digest() == content_digest(reference.instance)
+            for round_ in range(reference.rounds_run + 1):
+                assert handle.atoms_in_round(round_) == reference.round_added[round_]
 
-    def test_unsupported_theory_leaves_store_untouched(self):
-        # The refusal must fire before any facts or storechase.* meta
-        # land in the store, so a caller falling back to the in-memory
-        # engine (the CLI's checkpoint path) finds a clean database and
-        # a later checkpoint --resume is not hijacked by stale state.
+    def test_universal_theory_persists_store_chase_state(self):
+        # No fallback path: a universal theory writes storechase.* state
+        # like any other, so the database resumes through the store chase.
         theory = parse_theory("P(x) -> Q(x, y)", name="universal-head")
         with SQLiteStore(":memory:") as handle:
-            with pytest.raises(StoreChaseError):
-                chase_into_store(theory, parse_instance("P(a)"), handle)
-            assert len(handle) == 0
-            assert handle.get_meta("storechase.schema") is None
-            assert handle.get_meta("storechase.theory") is None
+            chase_into_store(
+                theory, parse_instance("P(a)"), handle, budget=ChaseBudget(max_rounds=1)
+            )
+            assert handle.get_meta("storechase.schema") is not None
+            assert handle.get_meta("storechase.theory") == "P(x) -> Q(x,y)\n"
+            assert handle.get_meta("storechase.rounds") == "1"
+            assert handle.get_meta("checkpoint.schema") is None
 
     def test_max_atoms_raise(self):
         theory = example42_tc()

@@ -1,15 +1,11 @@
-"""Checkpoint/resume exactness: suspended == uninterrupted, to the atom.
+"""Store-chase resume exactness: suspended == uninterrupted, to the atom.
 
 Observation 8 (prefix-exactness of the semi-oblivious Skolem chase) is
-what makes checkpoints *exact* rather than best-effort: a budget-stopped
-chase persisted to SQLite and resumed must produce the same rounds, the
-same atoms (Skolem terms included) and the same counters as one
-uninterrupted run.  Both persistence paths are pinned:
-
-* :mod:`repro.storage.checkpoint` — the in-memory engine's results
-  saved/loaded/resumed through a store;
-* :mod:`repro.storage.chasestore` — the chase that *runs inside* the
-  store, suspended by budget and resumed in a fresh connection.
+what makes a suspended chase *exactly* resumable rather than
+best-effort: a budget-stopped chase inside SQLite
+(:mod:`repro.storage.chasestore`), resumed in a fresh connection, must
+produce the same rounds, the same atoms (Skolem terms included) and the
+same counters as one uninterrupted run.
 """
 
 from __future__ import annotations
@@ -19,91 +15,13 @@ import pytest
 from repro.chase import ChaseBudget, chase
 from repro.logic import parse_instance, parse_theory
 from repro.storage import (
-    CheckpointError,
     SQLiteStore,
     StoreChaseError,
-    checkpoint_chase,
     chase_into_store,
     content_digest,
-    load_checkpoint,
-    resume_from_checkpoint,
     resume_store_chase,
 )
 from repro.workloads import edge_cycle, example42_tc
-
-# Timing-dependent per-round fields that legitimately differ between a
-# suspended-and-resumed run and an uninterrupted one.
-_WALL_CLOCK = ("seconds",)
-
-
-def _strip_seconds(rounds):
-    return [
-        {key: value for key, value in entry.items() if key not in _WALL_CLOCK}
-        for entry in rounds
-    ]
-
-
-class TestCheckpointRoundTrip:
-    def test_load_rebuilds_result_exactly(self, tmp_path):
-        theory = example42_tc()
-        budget = ChaseBudget(max_rounds=3, max_atoms=100_000)
-        run = chase(theory, edge_cycle(4), budget=budget)
-        with SQLiteStore(str(tmp_path / "ck.db")) as store:
-            checkpoint_chase(theory, edge_cycle(4), store, budget=budget)
-            loaded = load_checkpoint(store, theory=theory)
-        assert loaded.instance == run.instance
-        assert loaded.round_added == run.round_added
-        assert loaded.terminated == run.terminated
-        assert loaded.base == run.base
-        assert loaded.stats.counters == run.stats.counters
-
-    def test_skolem_terms_survive(self, tmp_path):
-        # The text serialization rejects Skolem terms; the store must not.
-        theory = example42_tc()
-        run = chase(theory, edge_cycle(3), budget=ChaseBudget(max_rounds=2))
-        with SQLiteStore(str(tmp_path / "ck.db")) as store:
-            checkpoint_chase(theory, edge_cycle(3), store, budget=ChaseBudget(max_rounds=2))
-            assert store.to_instance() == run.instance
-
-    def test_empty_store_raises(self):
-        with SQLiteStore(":memory:") as store:
-            with pytest.raises(CheckpointError):
-                load_checkpoint(store)
-
-
-class TestResumeEqualsUninterrupted:
-    def test_checkpoint_resume_matches_one_shot(self, tmp_path):
-        theory = example42_tc()
-        cycle = edge_cycle(5)
-        one_shot = chase(theory, cycle, budget=ChaseBudget(max_rounds=6, max_atoms=500_000))
-        with SQLiteStore(str(tmp_path / "ck.db")) as store:
-            checkpoint_chase(
-                theory, cycle, store, budget=ChaseBudget(max_rounds=2, max_atoms=500_000)
-            )
-        # Fresh connection: nothing survives but the file.
-        with SQLiteStore(str(tmp_path / "ck.db")) as store:
-            resumed = resume_from_checkpoint(store, extra_rounds=4, theory=theory)
-            assert resumed.instance == one_shot.instance
-            assert resumed.round_added == one_shot.round_added
-            assert resumed.stats.counters == one_shot.stats.counters
-            assert _strip_seconds(resumed.stats.rounds) == _strip_seconds(
-                one_shot.stats.rounds
-            )
-            # The extended checkpoint was written back round-exactly.
-            assert store.max_round() == one_shot.rounds_run
-            for round_ in range(one_shot.rounds_run + 1):
-                assert store.atoms_in_round(round_) == one_shot.round_added[round_]
-
-    def test_terminating_theory_resume_is_noop_extension(self, tmp_path):
-        theory = parse_theory("E(x, y) -> R(x, y)", name="one-step")
-        base = parse_instance("E(a, b). E(b, c)")
-        full = chase(theory, base)
-        with SQLiteStore(str(tmp_path / "ck.db")) as store:
-            checkpoint_chase(theory, base, store)
-            resumed = resume_from_checkpoint(store, extra_rounds=5, theory=theory)
-        assert resumed.terminated
-        assert resumed.instance == full.instance
-
 
 class TestStoreChaseResume:
     def test_budget_stop_then_resume_matches_one_shot(self, tmp_path):

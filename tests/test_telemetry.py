@@ -174,33 +174,40 @@ class TestResumeEquivalence:
 
 class TestBudgetAPI:
     def test_legacy_kwargs_removed(self):
-        # The pre-ChaseBudget kwargs (deprecated in 1.1) are gone: every
-        # entry point rejects them with a pointer at ChaseBudget.
+        # The pre-ChaseBudget kwargs (deprecated in 1.1) are gone from
+        # every signature: Python itself rejects them.
         theory = parse_theory("P(x) -> Q(x)")
         base = parse_instance("P(a)")
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        unexpected = "unexpected keyword argument"
+        with pytest.raises(TypeError, match=unexpected):
             chase(theory, base, max_rounds=2)
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match=unexpected):
             chase(theory, base, max_atoms=10)
+        with pytest.raises(TypeError, match=unexpected):
+            chase(theory, base, on_budget="raise")
         truncated = chase(
             theory,
             parse_instance("Human(abel)"),
             budget=ChaseBudget(max_rounds=1),
         )
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match=unexpected):
             resume(truncated, 1, max_atoms=10)
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match=unexpected):
             chase_to_fixpoint(theory, base, max_rounds=5)
-        with pytest.raises(TypeError, match="ChaseBudget"):
+        with pytest.raises(TypeError, match=unexpected):
             answer_by_materialization(
                 theory, parse_query("q(x) := Q(x)"), base, max_rounds=5
             )
 
     def test_legacy_kwargs_rejected_before_any_work(self):
-        # The TypeError fires during argument resolution, not mid-chase.
+        # The TypeError fires at the call, before the chase runs a round.
         theory = parse_theory("P(x) -> Q(x)")
+        telemetry = Telemetry()
         with pytest.raises(TypeError, match="max_rounds"):
-            chase(theory, parse_instance("P(a)"), max_rounds=0)
+            chase(
+                theory, parse_instance("P(a)"), telemetry=telemetry, max_rounds=0
+            )
+        assert not telemetry.counters and not telemetry.rounds
 
     def test_budget_path_is_silent(self, recwarn):
         theory = parse_theory("P(x) -> Q(x)")

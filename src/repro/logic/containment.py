@@ -56,9 +56,15 @@ def core_query(query: ConjunctiveQuery) -> ConjunctiveQuery:
 
     Repeatedly looks for a proper endomorphism of the canonical instance
     fixing the answer variables and restricts the query to its image.
+
+    A CQ whose atoms have pairwise distinct predicates is returned as is,
+    without a search: an endomorphism must map each atom to the only atom
+    with its predicate, so it fixes every variable and folds nothing.
     """
     current = query
     while True:
+        if len({item.predicate for item in current.atoms}) == len(current.atoms):
+            return current
         smaller = _one_folding_step(current)
         if smaller is None:
             return current

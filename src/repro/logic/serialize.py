@@ -17,14 +17,47 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .atoms import Atom
 from .instance import Instance
 from .query import ConjunctiveQuery
 from .terms import Constant, FunctionTerm, Term, Variable
-from .tgd import Theory
+from .tgd import TGD, Theory
 
 
 class SerializationError(ValueError):
     """The object contains structure the text syntax cannot express."""
+
+
+def dump_rule(rule: TGD) -> str:
+    """Render a rule in the parser's syntax, parse-exactly.
+
+    The text is ``repr(rule)`` with every constant quoted: the parser
+    reads a bare identifier in a rule as a variable, so ``repr`` would
+    turn ``P(x) -> Q(x, 'c')`` into a rule with a universal head
+    variable.  A rule without constants dumps to its ``repr``.
+    """
+
+    def text(item: Atom) -> str:
+        args = ",".join(_dump_rule_term(term, rule) for term in item.args)
+        return f"{item.predicate.name}({args})"
+
+    body = ", ".join(text(item) for item in rule.body) if rule.body else "true"
+    head = ", ".join(text(item) for item in rule.head)
+    if rule.existential:
+        names = ",".join(sorted(var.name for var in rule.existential))
+        head = f"exists {names}. {head}"
+    return f"{body} -> {head}"
+
+
+def _dump_rule_term(term: Term, rule: TGD) -> str:
+    if isinstance(term, Variable):
+        return term.name
+    if isinstance(term, Constant):
+        return f"'{term.name}'"
+    raise SerializationError(
+        f"rule {rule!r} contains the function term {term!r}; only "
+        "constant/variable arguments are expressible in rule syntax"
+    )
 
 
 def dump_theory(theory: Theory) -> str:
@@ -32,7 +65,7 @@ def dump_theory(theory: Theory) -> str:
     lines = []
     if theory.name:
         lines.append(f"# theory: {theory.name}")
-    lines.extend(repr(rule) for rule in theory)
+    lines.extend(dump_rule(rule) for rule in theory)
     return "\n".join(lines) + "\n"
 
 
@@ -139,7 +172,7 @@ def theory_to_json(theory: Theory) -> dict:
     return {
         "format": THEORY_FORMAT,
         "name": theory.name,
-        "rules": [repr(rule) for rule in theory],
+        "rules": [dump_rule(rule) for rule in theory],
     }
 
 

@@ -33,10 +33,21 @@ symmetric bodies
 (variable cliques) cost a factorial number of leaves in the size of one
 automorphism class; rewriting workloads keep those classes tiny, and the
 result is cached on the query object either way.
+
+Fast path
+---------
+
+Most produced CQs never reach step 3.  With at most one existential
+variable there is only one labeling, and when refinement (step 2) already
+gives every existential variable its own color, individualization has a
+single path that assigns exactly those colors as labels (see
+:func:`_search_labels`).  Both cases return without a search; the result
+is the one the search would compute, so keys and forms do not change.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from ..logic.atoms import Atom
@@ -50,6 +61,21 @@ _ANSWER_PREFIX = "_ca"
 _EXIST_PREFIX = "_ce"
 
 
+# Keys and canonical forms repeat the same few labels over and over; one
+# shared object per label keeps every cached key and form small (the
+# session holds them for each query shape it has seen).
+@lru_cache(maxsize=None)
+def _slot(kind: str, index: int) -> tuple[str, int]:
+    """The key slot of label ``index`` of ``kind`` (``"a"`` or ``"e"``)."""
+    return (kind, index)
+
+
+@lru_cache(maxsize=None)
+def label_variable(prefix: str, index: int) -> Variable:
+    """The variable named ``prefix`` + ``index``, one shared object per name."""
+    return Variable(f"{prefix}{index}")
+
+
 def _encode_term(
     term: Term,
     answer_labels: Mapping[Variable, int],
@@ -59,8 +85,8 @@ def _encode_term(
     if isinstance(term, Variable):
         index = answer_labels.get(term)
         if index is not None:
-            return ("a", index)
-        return ("e", exist_labels[term])
+            return _slot("a", index)
+        return _slot("e", exist_labels[term])
     if isinstance(term, Constant):
         return ("c", term.name)
     if isinstance(term, FunctionTerm):
@@ -181,13 +207,36 @@ def _search_labels(
     existentials: list[Variable],
     answer_labels: Mapping[Variable, int],
 ) -> dict[Variable, int]:
-    """The label assignment minimizing the encoded atom tuple (exact)."""
+    """The label assignment minimizing the encoded atom tuple (exact).
+
+    The individualization search is skipped when its result is forced:
+    with at most one existential variable there is one assignment, and
+    when refinement already gives every variable its own color the search
+    has a single path.  On that path each step labels the unlabeled
+    variable of least color, and the colors of the others do not move
+    (a discrete coloring is a refinement fixed point), so the labels it
+    assigns are exactly the base colors.
+    """
+    if len(existentials) <= 1:
+        return {var: 0 for var in existentials}
     base_colors = _refine(
         atoms,
         existentials,
         answer_labels,
         _initial_colors(atoms, existentials, answer_labels),
     )
+    if len(set(base_colors.values())) == len(existentials):
+        return base_colors
+    return _individualize(atoms, existentials, answer_labels, base_colors)
+
+
+def _individualize(
+    atoms: tuple[Atom, ...],
+    existentials: list[Variable],
+    answer_labels: Mapping[Variable, int],
+    base_colors: dict[Variable, int],
+) -> dict[Variable, int]:
+    """The full individualization search from the refined ``base_colors``."""
     total = len(existentials)
     best: list = [None, None]  # [encoding, labels]
 
@@ -265,9 +314,9 @@ def canonical_form(query: ConjunctiveQuery) -> ConjunctiveQuery:
         )
         renaming: dict[Variable, Variable] = {}
         for var, index in answer_labels.items():
-            renaming[var] = Variable(f"{_ANSWER_PREFIX}{index}")
+            renaming[var] = label_variable(_ANSWER_PREFIX, index)
         for var, index in exist_labels.items():
-            renaming[var] = Variable(f"{_EXIST_PREFIX}{index}")
+            renaming[var] = label_variable(_EXIST_PREFIX, index)
         renamed = query.substitute(renaming)
         order = sorted(
             range(len(renamed.atoms)),

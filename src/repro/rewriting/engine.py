@@ -44,6 +44,19 @@ the frontier, and the ``rewrite.steps`` / ``rewrite.produced`` /
 ``rewrite.evicted`` counters are identical with ``use_indexes=False``
 (the naive reference mode benches and property tests compare against).
 
+Three shortcuts cut per-step work in both modes, again only where the
+result is forced, so every disjunct and counter is unchanged:
+
+* **Each rule is renamed apart once per theory**, into the ``_rw<i>_``
+  namespace, and cached beside the head-predicate index.  Frontier CQs
+  are canonical (``_ca*`` / ``_ce*`` variables), so the renamed rule
+  never shares a variable with the CQ it is unified with.
+* **A produced CQ with pairwise distinct predicates skips the folding
+  search** (:func:`repro.logic.containment.core_query`): every
+  endomorphism fixes each atom, so the CQ is its own core.
+* **Canonical labeling skips the individualization search when only
+  one labeling is possible** (:mod:`repro.rewriting.canonical`).
+
 The loop is breadth-first: each pass takes the whole frontier as one
 batch and visits its CQs in order.  For each CQ it walks the piece
 rewritings rule by rule, in unifier order, and applies the kept-set logic
@@ -56,7 +69,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ..logic.containment import core_query, is_contained_in
 from ..logic.query import ConjunctiveQuery, UnionOfCQs
@@ -64,8 +77,8 @@ from ..logic.signature import Predicate
 from ..logic.terms import FreshVariables, Variable
 from ..logic.tgd import TGD, Theory
 from ..telemetry import Telemetry
-from .canonical import _EXIST_PREFIX, canonical_form, canonical_key
-from .unification import EmptyRewriting, iter_piece_unifiers
+from .canonical import _EXIST_PREFIX, canonical_form, canonical_key, label_variable
+from .unification import EmptyRewriting, renamed_piece_unifiers
 
 
 @dataclass
@@ -138,23 +151,48 @@ _OVERSIZE = "oversize"  # produced CQ exceeds max_disjunct_atoms
 
 
 # ----------------------------------------------------------------------
-# Rule relevance: head-predicate -> rule index, memoized per Theory
+# Per-Theory rule data: head-predicate index and renamed-apart rules
 # ----------------------------------------------------------------------
 
-_RULE_INDEX_CACHE: "weakref.WeakKeyDictionary[Theory, dict[Predicate, tuple[int, ...]]]"
+
+class _TheoryRules(NamedTuple):
+    """What saturation needs of a theory, computed once per ``Theory``.
+
+    ``by_head`` maps a head predicate to the indices of the rules carrying
+    it.  ``renamed`` holds each rule renamed apart into the ``_rw<i>_``
+    namespace, with its variable set.  Frontier CQs are canonical (only
+    ``_ca*`` / ``_ce*`` variables), so one renaming per rule keeps every
+    rule apart from every query the loop unifies it with.
+    """
+
+    by_head: dict[Predicate, tuple[int, ...]]
+    renamed: tuple[tuple[TGD, frozenset[Variable]], ...]
+
+
+_RULE_INDEX_CACHE: "weakref.WeakKeyDictionary[Theory, _TheoryRules]"
 _RULE_INDEX_CACHE = weakref.WeakKeyDictionary()
 
 
-def _head_predicate_index(theory: Theory) -> dict[Predicate, tuple[int, ...]]:
-    """Head predicate -> indices of rules carrying it, built once per theory."""
+def _theory_rules(theory: Theory) -> _TheoryRules:
+    """The theory's :class:`_TheoryRules`, built on first use.
+
+    Threads may race to build it; ``setdefault`` keeps the first entry
+    stored, and every build is equal anyway.
+    """
     cached = _RULE_INDEX_CACHE.get(theory)
     if cached is None:
         buckets: dict[Predicate, dict[int, None]] = {}
+        renamed = []
         for rule_index, rule in enumerate(theory):
             for item in rule.head:
                 buckets.setdefault(item.predicate, {})[rule_index] = None
-        cached = {pred: tuple(indices) for pred, indices in buckets.items()}
-        _RULE_INDEX_CACHE[theory] = cached
+            variant = rule.rename_apart(FreshVariables(prefix=f"_rw{rule_index}_"))
+            renamed.append((variant, frozenset(variant.variables())))
+        built = _TheoryRules(
+            {pred: tuple(indices) for pred, indices in buckets.items()},
+            tuple(renamed),
+        )
+        cached = _RULE_INDEX_CACHE.setdefault(theory, built)
     return cached
 
 
@@ -170,7 +208,7 @@ def _relevant_rule_indices(
 
 def _piece_rewritings(
     query: ConjunctiveQuery,
-    rules: Sequence[TGD],
+    renamed: Sequence[tuple[TGD, frozenset[Variable]]],
     rule_indices: Sequence[int],
     max_disjunct_atoms: int,
 ) -> Iterator[ConjunctiveQuery | str]:
@@ -180,9 +218,9 @@ def _piece_rewritings(
     ``_EMPTY`` / ``_SKIP`` / ``_OVERSIZE`` for a step that produces
     nothing to keep.
     """
-    fresh = FreshVariables(prefix="_rw")
     for rule_index in rule_indices:
-        for unifier in iter_piece_unifiers(query, rules[rule_index], fresh):
+        rule, rule_vars = renamed[rule_index]
+        for unifier in renamed_piece_unifiers(query, rule, rule_vars):
             try:
                 produced = unifier.rewrite(query)
             except EmptyRewriting:
@@ -314,10 +352,10 @@ def _presentable(
             renaming[var] = original.answer_vars[position]
             answer_names.add(original.answer_vars[position].name)
     for var in canonical.existential_vars():
-        name = f"_e{var.name[len(_EXIST_PREFIX):]}"
-        if name in answer_names:  # programmatic ``_e*`` answer names
+        label = int(var.name[len(_EXIST_PREFIX):])
+        if f"_e{label}" in answer_names:  # programmatic ``_e*`` answer names
             return canonical
-        renaming[var] = Variable(name)
+        renaming[var] = label_variable("_e", label)
     renamed = canonical.substitute(renaming)
     object.__setattr__(renamed, "_canonical_form", canonical)
     object.__setattr__(
@@ -354,9 +392,8 @@ def rewrite(
     budget = budget or RewritingBudget()
     telemetry = telemetry if telemetry is not None else Telemetry()
     counters = telemetry.counters
-    rules = theory.rules()
+    rules = _theory_rules(theory)
     use_indexes = budget.use_indexes
-    rule_index = _head_predicate_index(theory) if use_indexes else None
 
     start = canonical_form(core_query(query))
     kept = _KeptSet(use_indexes)
@@ -377,13 +414,13 @@ def rewrite(
                     continue
                 if use_indexes:
                     indices: Sequence[int] = _relevant_rule_indices(
-                        rule_index, current
+                        rules.by_head, current
                     )
-                    counters["rewrite.rules_skipped"] += len(rules) - len(indices)
+                    counters["rewrite.rules_skipped"] += len(theory) - len(indices)
                 else:
-                    indices = range(len(rules))
+                    indices = range(len(theory))
                 for produced in _piece_rewritings(
-                    current, rules, indices, budget.max_disjunct_atoms
+                    current, rules.renamed, indices, budget.max_disjunct_atoms
                 ):
                     explored += 1
                     counters["rewrite.steps"] += 1

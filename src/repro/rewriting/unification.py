@@ -119,26 +119,28 @@ class EmptyRewriting(Exception):
 
 def _validated(
     rule: TGD,
+    rule_vars: frozenset[Variable],
     query: ConjunctiveQuery,
     piece: dict[Atom, Atom],
     uf: _UnionFind,
 ) -> "PieceUnifier | set[Variable] | None":
     """Check class safety for the current piece.
 
-    Returns a :class:`PieceUnifier` when valid, a set of query variables
-    whose atoms must be swallowed into the piece when extension could help,
-    or ``None`` when the unification is hopeless.
+    ``rule_vars`` is ``rule.variables()``, computed once per rule by the
+    caller.  Returns a :class:`PieceUnifier` when valid, a set of query
+    variables whose atoms must be swallowed into the piece when extension
+    could help, or ``None`` when the unification is hopeless.
     """
     existential = rule.existential
-    rule_vars = rule.variables()
     answer_vars = set(query.answer_vars)
     outside_atoms = [item for item in query.atoms if item not in piece]
     outside_vars: set[Variable] = set()
     for item in outside_atoms:
         outside_vars.update(item.variable_set())
 
+    classes = uf.classes()
     must_swallow: set[Variable] = set()
-    for root, members in uf.classes().items():
+    for members in classes.values():
         constants = {term for term in members if isinstance(term, Constant)}
         class_existential = {
             term for term in members if isinstance(term, Variable) and term in existential
@@ -183,7 +185,7 @@ def _validated(
         return must_swallow
 
     substitution: dict[Variable, Term] = {}
-    for root, members in uf.classes().items():
+    for members in classes.values():
         representative = _pick_representative(members, answer_vars, existential)
         for term in members:
             if isinstance(term, Variable) and term != representative:
@@ -225,11 +227,24 @@ def iter_piece_unifiers(
 ) -> Iterator[PieceUnifier]:
     """All (extension-closed) piece unifiers of ``query`` with ``rule``.
 
-    The rule is renamed apart internally.  Enumeration starts from every
-    single (query atom, head atom) pair and extends pieces only when class
-    safety demands it, so the unifiers produced are the most general ones.
+    The rule is renamed apart from ``query`` with ``fresh`` first; see
+    :func:`renamed_piece_unifiers` for the enumeration.
     """
     renamed = rule.rename_apart(fresh)
+    yield from renamed_piece_unifiers(query, renamed, frozenset(renamed.variables()))
+
+
+def renamed_piece_unifiers(
+    query: ConjunctiveQuery, renamed: TGD, rule_vars: frozenset[Variable]
+) -> Iterator[PieceUnifier]:
+    """The piece unifiers of ``query`` with a rule already renamed apart.
+
+    ``renamed`` must share no variable with ``query``, and ``rule_vars``
+    is its variable set.  The saturation engine renames each rule once per
+    theory and calls this directly.  Enumeration starts from every single
+    (query atom, head atom) pair and extends pieces only when class safety
+    demands it, so the unifiers produced are the most general ones.
+    """
     head_atoms = list(renamed.head)
     seen_pieces: set[frozenset[tuple[Atom, Atom]]] = set()
 
@@ -241,7 +256,7 @@ def iter_piece_unifiers(
         uf = _unify_pairs(piece)
         if uf is None:
             return
-        verdict = _validated(renamed, query, piece, uf)
+        verdict = _validated(renamed, rule_vars, query, piece, uf)
         if verdict is None:
             return
         if isinstance(verdict, PieceUnifier):

@@ -64,6 +64,7 @@ from ..chase.engine import (
 from ..chase.planner import CONTROL_CHECK_STRIDE
 from ..chase.skolem import skolemize
 from ..logic.instance import Instance
+from ..logic.serialize import dump_rule
 from ..logic.terms import FunctionTerm, Variable
 from ..logic.tgd import Theory
 from ..telemetry import Telemetry
@@ -265,13 +266,26 @@ def _domain(store: SQLiteStore, last: int) -> "tuple[list, list, list]":
 
 
 def _theory_text(theory: Theory) -> str:
-    """Canonical rule text for state matching: reprs only, no name header.
+    """Canonical rule text for state matching: one rule a line, no name header.
 
-    ``repr(rule)`` carries no labels, so a theory reparsed from this text
-    (labels regenerated) serializes back to the same string — resume
+    :func:`~repro.logic.serialize.dump_rule` carries no labels and quotes
+    constants, so a theory reparsed from this text (labels regenerated)
+    is the same theory and serializes back to the same string — resume
     matching survives the round-trip.
     """
-    return "\n".join(repr(rule) for rule in theory) + "\n"
+    return "\n".join(dump_rule(rule) for rule in theory) + "\n"
+
+
+def _chased_under(persisted: str, theory: Theory) -> bool:
+    """Does the persisted ``storechase.theory`` text name ``theory``?
+
+    Databases written before rule text quoted constants hold the rules'
+    ``repr``s (constants bare); those still match the theory passed in.
+    """
+    return persisted in (
+        _theory_text(theory),
+        "\n".join(repr(rule) for rule in theory) + "\n",
+    )
 
 
 def _persist_state(
@@ -427,8 +441,7 @@ def chase_into_store(
     if schema is not None:
         if schema != STORE_CHASE_SCHEMA:
             raise StoreChaseError(f"unsupported store-chase schema {schema!r}")
-        persisted = store.get_meta("storechase.theory", "")
-        if persisted != theory_text:
+        if not _chased_under(store.get_meta("storechase.theory", ""), theory):
             raise StoreChaseError(
                 "store was chased under a different theory; refusing to mix"
             )
@@ -647,7 +660,7 @@ def update_store_chase(
         theory = parse_theory(
             store.get_meta("storechase.theory", ""), name="storechase"
         )
-    elif store.get_meta("storechase.theory", "") != _theory_text(theory):
+    elif not _chased_under(store.get_meta("storechase.theory", ""), theory):
         raise StoreChaseError(
             "store was chased under a different theory; refusing to mix"
         )

@@ -10,6 +10,9 @@ that equivalence on the paper's fixtures and on seeded random linear
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -20,7 +23,16 @@ from repro.logic.signature import Predicate
 from repro.logic.terms import Constant, Variable
 from repro.logic.tgd import TGD, Theory
 from repro.rewriting import RewritingBudget, canonical_form, canonical_key, rewrite
+from repro.logic.containment import _one_folding_step, core_query
+from repro.rewriting.canonical import (
+    _individualize,
+    _initial_colors,
+    _refine,
+    _search_labels,
+)
+from repro.rewriting.engine import _RULE_INDEX_CACHE, _theory_rules
 from repro.rewriting.unification import _UnionFind
+from repro.workloads.ontologies import MedicalWorkload
 from repro.workloads import (
     example42_tc,
     t_a,
@@ -226,6 +238,131 @@ class TestCanonicalKeys:
         form = canonical_form(query)
         assert canonical_form(form) is form
         assert canonical_key(form) == canonical_key(query)
+
+
+class TestForcedShortcuts:
+    """The core and labeling shortcuts return what the full searches return."""
+
+    PREDICATES = [Predicate(f"P{i}", arity) for i, arity in enumerate((1, 1, 2, 2, 2, 3))]
+
+    def _random_cq(self, rng, predicates, symmetric=False) -> ConjunctiveQuery:
+        """A CQ with one atom per entry of ``predicates`` (duplicates merged).
+
+        ``symmetric`` drops constants and answer variables, so that more
+        bodies have automorphisms the labeling search must break.
+        """
+        variables = [Variable(f"v{i}") for i in range(rng.randint(1, 5))]
+        terms = variables if symmetric else variables + [Constant("c"), Constant("d")]
+        atoms = tuple(
+            dict.fromkeys(
+                Atom(pred, tuple(rng.choice(terms) for _ in range(pred.arity)))
+                for pred in predicates
+            )
+        )
+        used = sorted({v for a in atoms for v in a.variable_set()}, key=repr)
+        answers = () if symmetric else tuple(used[: rng.randint(0, min(2, len(used)))])
+        return ConjunctiveQuery(answers, atoms)
+
+    def test_distinct_predicates_admit_no_folding_step(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            predicates = rng.sample(self.PREDICATES, rng.randint(1, len(self.PREDICATES)))
+            query = self._random_cq(rng, predicates)
+            assert _one_folding_step(query) is None, query
+            assert core_query(query) is query
+
+    def test_forced_labeling_equals_full_search(self):
+        rng = random.Random(23)
+        forced = searched = 0
+        for _ in range(400):
+            symmetric = rng.random() < 0.5
+            pool = self.PREDICATES[1:3] if symmetric else self.PREDICATES
+            predicates = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            query = self._random_cq(rng, predicates, symmetric)
+            answer_labels = {}
+            for var in query.answer_vars:
+                answer_labels.setdefault(var, len(answer_labels))
+            existentials = sorted(query.existential_vars(), key=lambda v: v.name)
+            base = _refine(
+                query.atoms,
+                existentials,
+                answer_labels,
+                _initial_colors(query.atoms, existentials, answer_labels),
+            )
+            full = _individualize(query.atoms, existentials, answer_labels, base)
+            assert _search_labels(query.atoms, existentials, answer_labels) == full
+            if len(set(base.values())) == len(existentials):
+                forced += 1
+            else:
+                searched += 1
+        assert forced > 50 and searched > 20, (forced, searched)
+
+
+class TestRenamedRules:
+    """Rules are renamed apart once per Theory; nothing is captured or raced."""
+
+    def test_query_reusing_renamed_names_rewrites_like_its_twin(self):
+        theory = MedicalWorkload().theory
+        renamed_names = sorted(
+            var.name for _, variables in _theory_rules(theory).renamed for var in variables
+        )
+        plain = parse_query("q(x) := exists c, t. Diagnosed(x, c), TreatedBy(c, t)")
+        names = iter(renamed_names)
+        renaming = {var: Variable(next(names)) for var in sorted(plain.variables(), key=repr)}
+        twin = plain.substitute(renaming)
+        assert {var.name for var in twin.variables()} <= set(renamed_names)
+        left, right = rewrite(theory, plain), rewrite(theory, twin)
+        assert keys_of(left) == keys_of(right)
+        assert len(left.ucq) > 1
+        assert (left.complete, left.always_true, left.explored) == (
+            right.complete,
+            right.always_true,
+            right.explored,
+        )
+        assert rewrite_counters(left) == rewrite_counters(right)
+
+    def test_threads_share_one_cache_and_match_sequential(self):
+        texts = [
+            "q(x) := exists y. Diagnosed(x, y), Condition(y)",
+            "q(x) := exists t, p. TreatedBy(x, t), PrescribedBy(t, p)",
+            "q(x) := Person(x)",
+            "q(c) := exists s. MonitoredBy(c, s), Specialist(s)",
+        ]
+
+        def outcomes(theory):
+            return [
+                (
+                    [repr(d) for d in result.ucq],
+                    result.complete,
+                    result.explored,
+                    rewrite_counters(result),
+                )
+                for result in (rewrite(theory, parse_query(text)) for text in texts)
+            ]
+
+        def fresh_theory():
+            # Many rules make the cache build long enough for threads to race.
+            return Theory(list(MedicalWorkload().theory) * 20, name="medical-x20")
+
+        expected = outcomes(fresh_theory())
+        shared = fresh_theory()
+        assert shared not in _RULE_INDEX_CACHE
+        barrier = threading.Barrier(4)
+
+        def work(_):
+            barrier.wait(timeout=30)
+            return _theory_rules(shared), outcomes(shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside the cache build
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                seen = list(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for entry, got in seen:
+            assert entry is seen[0][0] is _RULE_INDEX_CACHE[shared]
+            assert got == expected
 
 
 class TestUnionFindIterative:

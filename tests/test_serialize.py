@@ -10,6 +10,7 @@ from repro.logic.serialize import (
     SerializationError,
     dump_instance,
     dump_query,
+    dump_rule,
     dump_theory,
     load_instance,
     load_query,
@@ -17,6 +18,8 @@ from repro.logic.serialize import (
     save_instance,
     save_query,
     save_theory,
+    theory_from_json,
+    theory_to_json,
 )
 from repro.workloads import (
     edge_path,
@@ -50,6 +53,25 @@ class TestTheoryRoundTrip:
 
     def test_name_comment_included(self):
         assert "# theory: T_a" in dump_theory(t_a())
+
+    def test_constants_quoted_and_round_trip_exact(self):
+        theory = parse_theory("P(x) -> Q(x, 'c')\ntrue -> S('a', z)")
+        assert dump_rule(theory[0]) == "P(x) -> Q(x,'c')"
+        for reparsed in (
+            parse_theory(dump_theory(theory)),
+            theory_from_json(theory_to_json(theory)),
+        ):
+            assert len(reparsed) == len(theory)
+            for original, parsed in zip(theory, reparsed):
+                assert parsed.body == original.body
+                assert parsed.head == original.head
+                assert parsed.existential == original.existential
+            assert not reparsed[0].universal_head_variables()
+
+    @pytest.mark.parametrize("factory", THEORIES)
+    def test_rule_without_constants_dumps_to_repr(self, factory):
+        for rule in factory():
+            assert dump_rule(rule) == repr(rule)
 
 
 class TestInstanceRoundTrip:

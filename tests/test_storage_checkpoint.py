@@ -20,6 +20,7 @@ from repro.storage import (
     chase_into_store,
     content_digest,
     resume_store_chase,
+    update_store_chase,
 )
 from repro.workloads import edge_cycle, example42_tc
 
@@ -65,3 +66,50 @@ class TestStoreChaseResume:
             store.add_many(parse_instance("E(a, b)"))
             with pytest.raises(StoreChaseError):
                 resume_store_chase(store)
+
+
+class TestRuleTextConstants:
+    """The persisted rule text keeps constants constants."""
+
+    THEORY = "P(x) -> Q(x, 'c')\nQ(x, y) -> exists z. R(y, z)"
+
+    def _stopped_store(self, path):
+        store = SQLiteStore(path)
+        chase_into_store(
+            parse_theory(self.THEORY),
+            parse_instance("P(a). P(b)"),
+            store,
+            budget=ChaseBudget(max_rounds=1),
+        )
+        return store
+
+    def test_resume_without_theory_matches_explicit(self, tmp_path):
+        theory = parse_theory(self.THEORY)
+        expected = content_digest(chase(theory, parse_instance("P(a). P(b)")).instance)
+        with self._stopped_store(str(tmp_path / "implicit.db")) as store:
+            assert resume_store_chase(store).digest() == expected
+        with self._stopped_store(str(tmp_path / "explicit.db")) as store:
+            assert resume_store_chase(store, theory).digest() == expected
+
+    def test_update_without_theory_matches_explicit(self, tmp_path):
+        theory = parse_theory(self.THEORY)
+        add = parse_instance("P(d)")
+        expected = content_digest(
+            chase(theory, parse_instance("P(a). P(b). P(d)")).instance
+        )
+        for name, passed in (("implicit.db", None), ("explicit.db", theory)):
+            with self._stopped_store(str(tmp_path / name)) as store:
+                resume_store_chase(store, theory)
+                outcome = update_store_chase(store, passed, add=add)
+                assert outcome.digest() == expected, name
+
+    def test_legacy_bare_constant_text_still_resumes(self, tmp_path):
+        theory = parse_theory(self.THEORY)
+        legacy = "".join(f"{rule!r}\n" for rule in theory)
+        assert "'c'" not in legacy
+        expected = content_digest(chase(theory, parse_instance("P(a). P(b)")).instance)
+        with self._stopped_store(str(tmp_path / "legacy.db")) as store:
+            store.set_meta("storechase.theory", legacy)
+            assert resume_store_chase(store, theory).digest() == expected
+            outcome = update_store_chase(store, theory, add=parse_instance("P(d)"))
+            assert outcome.terminated

@@ -46,7 +46,7 @@ from .logic import (
     parse_theory,
 )
 from .incremental import UpdateOutcome, incremental_update, update_store_chase
-from .rewriting import OMQASession, RewritingBudget, answer, certain_answers
+from .rewriting import OMQASession, RewritingBudget, answer
 from .storage import open_store
 from .telemetry import Telemetry
 
@@ -63,7 +63,6 @@ __all__ = [
     "Telemetry",
     "Theory",
     "answer",
-    "certain_answers",
     "core_termination",
     "evaluate",
     "holds",

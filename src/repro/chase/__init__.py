@@ -27,7 +27,6 @@ from .engine import (
     ChaseResult,
     Derivation,
     chase,
-    chase_to_fixpoint,
     resume,
 )
 from .provenance import (
@@ -70,7 +69,6 @@ __all__ = [
     "ancestors",
     "birth_atom",
     "chase",
-    "chase_to_fixpoint",
     "resume",
     "connected_parents",
     "core_termination",

@@ -32,7 +32,7 @@ import itertools
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..logic.atoms import Atom
@@ -838,24 +838,3 @@ def resume(
         derivations=derivations,
         stats=telemetry,
     )
-
-
-def chase_to_fixpoint(
-    theory: Theory, base: Instance, budget: ChaseBudget | None = None
-) -> ChaseResult:
-    """Chase until a fixpoint, raising when budgets are exceeded.
-
-    Use only for theories known (or expected) to have a terminating Skolem
-    chase on ``base``; the error keeps non-terminating cases loud.  Limits
-    come from ``budget`` (a :class:`ChaseBudget`; ``on_exceeded`` is
-    forced to ``"raise"`` here).
-    """
-    if budget is None:
-        budget = ChaseBudget(max_rounds=200, max_atoms=500_000)
-    budget = replace(budget, on_exceeded="raise")
-    result = chase(theory, base, budget=budget)
-    if not result.terminated:
-        raise ChaseBudgetExceeded(
-            f"no fixpoint within {budget.max_rounds} rounds on {len(base)} facts"
-        )
-    return result

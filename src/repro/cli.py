@@ -55,6 +55,7 @@ from .chase.engine import DEFAULT_CHASE_BACKEND
 from .classes import classify
 from .logic import parse_instance, parse_query, parse_theory
 from .rewriting import OMQASession, RewritingBudget, rewrite
+from .rewriting.session import BACKEND_STRATEGIES
 from .storage.base import BACKEND_NAMES, resolve_backend
 
 
@@ -478,6 +479,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 def _cmd_answer(args: argparse.Namespace) -> int:
     import sqlite3
 
+    from .storage import StoreChaseError
+
     try:
         resolved = resolve_backend(args.backend, args.db)
     except ValueError as exc:
@@ -498,17 +501,9 @@ def _cmd_answer(args: argparse.Namespace) -> int:
             db_path=resolved.path,
             cancel=token,
         )
-        prepared = session.prepare(query)
-        if resolved.name == "columnar":
-            strategy = "columnar"
-        elif resolved.name == "sqlite" and prepared.complete:
-            strategy = "sql"
-        elif prepared.complete:
-            strategy = "rewrite"
-        else:
-            strategy = "materialize"
+        strategy = BACKEND_STRATEGIES[resolved.name]
         try:
-            answers = session.answer(query, instance, strategy=strategy)
+            answers = session.answer(query, instance, strategy)
         except ChaseCancelled:
             print(
                 "cancelled before the materialization reached a fixpoint; "
@@ -516,7 +511,7 @@ def _cmd_answer(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 130
-        except ChaseBudgetExceeded as error:
+        except (ChaseBudgetExceeded, StoreChaseError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         except sqlite3.DatabaseError as error:
@@ -526,6 +521,12 @@ def _cmd_answer(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    # Name the route taken: the strategy that evaluated a complete
+    # rewriting, else the materialization fallback.
+    if not session.prepare(query).complete:
+        strategy = "materialize"
+    elif strategy == "auto":
+        strategy = "rewrite"
     stats = session.stats.as_dict()
     if args.backend == "sqlite":
         session.close()

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..chase.engine import ChaseBudget, chase, chase_to_fixpoint
+from ..chase.engine import ChaseBudget, ChaseBudgetExceeded, chase
 from ..chase.termination import (
     CoreTerminationWitness,
     core_termination,
@@ -121,7 +121,11 @@ def h_star(
     is fully checkable); Core-Terminating-but-not-AIT theories are handled
     by the truncated pipeline in :func:`uniform_bound_profile` instead.
     """
-    result = chase_to_fixpoint(theory, instance, budget=ChaseBudget(max_rounds=max_rounds, max_atoms=max_atoms))
+    result = chase(theory, instance, budget=ChaseBudget(max_rounds=max_rounds, max_atoms=max_atoms))
+    if not result.terminated:
+        raise ChaseBudgetExceeded(
+            f"no fixpoint within {max_rounds} rounds on {len(instance)} facts"
+        )
     witness = core_termination(theory, instance, max_depth=result.rounds_run + 1)
     if witness is None:
         raise RuntimeError("terminating chase without a core witness — bug")

@@ -5,8 +5,6 @@ from .answering import (
     answer,
     answer_by_materialization,
     answer_by_rewriting,
-    answer_by_rewriting_sql,
-    certain_answers,
     cross_validate,
 )
 from .bdd import (
@@ -38,12 +36,10 @@ __all__ = [
     "answer",
     "answer_by_materialization",
     "answer_by_rewriting",
-    "answer_by_rewriting_sql",
     "answer_depth_profile",
     "atomic_rewriting_sizes",
     "canonical_form",
     "canonical_key",
-    "certain_answers",
     "cross_validate",
     "depth_bound_from_rewriting",
     "enough",

@@ -10,17 +10,14 @@ UCQ.  This module implements both strategies so the crossover experiment
 * **materialize-then-evaluate** — pay once per database (chase to a
   fixpoint or a safe depth), then answer every query cheaply.
 
-A third spelling of the first strategy pushes the evaluation into SQLite:
-:func:`answer_by_rewriting_sql` compiles the rewriting's disjuncts to
-SELECT-joins (:mod:`repro.storage.sqlcompile`) and lets the database's
-join engine answer them — the literal reading of the BDD property, where
-"evaluate the UCQ over ``D``" means handing SQL to the store holding
-``D``.  :func:`answer` is the backend switch over all of this.
+:func:`answer` picks a route and a storage backend through a one-shot
+:class:`~repro.rewriting.session.OMQASession`, the one place that does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..chase.engine import CancellationToken, ChaseBudget, ChaseResult, chase
 from ..logic.containment import evaluate_ucq
@@ -62,38 +59,40 @@ def answer_by_rewriting(
     result = prepared if prepared is not None else rewrite(theory, query, budget)
     if not result.complete:
         raise RuntimeError("rewriting incomplete; cannot answer soundly")
-    answers = evaluate_ucq(result.ucq, instance)
-    if result.always_true and query.is_boolean() and len(instance):
-        answers.add(())
-    return answers
+    return _finish_rewriting(
+        result,
+        query,
+        instance,
+        evaluate_ucq(result.ucq, instance),
+        lambda: answer_by_materialization(theory, query, instance),
+    )
 
 
-def answer_by_rewriting_sql(
-    theory: Theory,
+def _finish_rewriting(
+    result: RewritingResult,
     query: ConjunctiveQuery,
-    store,
-    budget: RewritingBudget | None = None,
-    prepared: RewritingResult | None = None,
+    instance: Instance,
+    answers: set[tuple[Term, ...]],
+    materialized: Callable[[], set[tuple[Term, ...]]],
 ) -> set[tuple[Term, ...]]:
-    """Certain answers via UCQ rewriting, evaluated *inside* SQLite.
+    """The certain answers of a complete rewriting route.
 
-    ``store`` is a :class:`repro.storage.sqlite.SQLiteStore` already
-    holding the database.  The rewriting's disjuncts are compiled to one
-    UNION of SELECT-joins and executed by SQLite's join engine — the
-    answer set is exactly :func:`answer_by_rewriting`'s (pinned by
-    ``tests/test_storage_equivalence.py``).  Pass ``prepared`` to
-    amortize the rewriting; :class:`repro.rewriting.session.OMQASession`
-    additionally caches the compiled SQL per query shape.
+    ``answers`` is ``result``'s UCQ evaluated over ``instance`` on any
+    backend; this is the one place that turns it into certain answers.
+    A boolean query that some rewriting step consumed whole
+    (``result.always_true``) holds wherever that step's empty-bodied rule
+    fires: on every instance when the rule has no universal head variable
+    (``result.always_true_on_empty``), else on every instance whose active
+    domain is non-empty.  On an empty domain the rewriting cannot tell
+    whether another rule creates the term such a rule needs, so
+    ``materialized()`` — the chase route, which raises rather than guess
+    when it reaches no fixpoint — decides.
     """
-    from ..storage.sqlcompile import evaluate_ucq_sql
-
-    result = prepared if prepared is not None else rewrite(theory, query, budget)
-    if not result.complete:
-        raise RuntimeError("rewriting incomplete; cannot answer soundly")
-    answers = evaluate_ucq_sql(result.ucq, store)
-    if result.always_true and query.is_boolean() and len(store):
-        answers.add(())
-    return answers
+    if not (result.always_true and query.is_boolean()):
+        return answers
+    if result.always_true_on_empty or instance.domain():
+        return {()}
+    return materialized()
 
 
 def answer_by_materialization(
@@ -132,29 +131,6 @@ def answer_by_materialization(
     return _base_restricted(evaluate(query, result.instance), instance)
 
 
-def certain_answers(
-    theory: Theory,
-    query: ConjunctiveQuery,
-    instance: Instance,
-    budget: RewritingBudget | None = None,
-    chase_budget: ChaseBudget | None = None,
-    cancel: "CancellationToken | None" = None,
-) -> set[tuple[Term, ...]]:
-    """Certain answers by the safest available route.
-
-    Tries rewriting first; when saturation does not complete, falls back to
-    a terminating chase (limited by ``chase_budget``).  Raises when neither
-    route is conclusive.  For repeated queries over the same theory prefer
-    :class:`repro.rewriting.session.OMQASession`, which caches both routes.
-    """
-    result = rewrite(theory, query, budget)
-    if result.complete:
-        return answer_by_rewriting(theory, query, instance, prepared=result)
-    return answer_by_materialization(
-        theory, query, instance, budget=chase_budget, cancel=cancel
-    )
-
-
 def answer(
     theory: Theory,
     query: ConjunctiveQuery,
@@ -165,102 +141,46 @@ def answer(
     chase_budget: ChaseBudget | None = None,
     cancel: "CancellationToken | None" = None,
 ) -> set[tuple[Term, ...]]:
-    """Certain answers with a storage-backend switch.
+    """Certain answers on one storage backend: a one-shot
+    :class:`~repro.rewriting.session.OMQASession`.
 
-    ``backend`` resolves through the one registry,
-    :func:`repro.storage.resolve_backend` — ``"memory"``, ``"columnar"``
-    or ``"sqlite"``, uniformly with ``OMQASession`` and the CLI.  Every
-    backend returns the same set: they differ in *where* the joins run,
-    never in the answers, and all three cut a non-terminating fallback
-    chase at the same :data:`DEFAULT_ANSWER_CHASE_BUDGET`.
+    ``backend`` resolves through :func:`repro.storage.resolve_backend`
+    (``"memory"``, ``"columnar"`` or ``"sqlite"``) and picks the session
+    strategy from :data:`repro.rewriting.session.BACKEND_STRATEGIES`, the
+    table the CLI and the service use too.  The session is opened with
+    ``db_path``, both budgets and ``cancel``, answers once and is closed,
+    so every backend returns the same set: they differ in *where* the
+    joins run, never in the answers.  When the rewriting does not
+    saturate, every backend falls back to the session's one
+    materialization route, cut at :data:`DEFAULT_ANSWER_CHASE_BUDGET`
+    unless ``chase_budget`` says otherwise.
 
-    ``backend="memory"`` is :func:`certain_answers` unchanged.
-
-    ``backend="columnar"`` loads ``instance`` into an in-RAM
-    :class:`~repro.storage.columnar.ColumnarStore` and evaluates the UCQ
-    rewriting as hash joins over interned term ids
-    (:func:`~repro.chase.columnar_kernel.evaluate_ucq_columnar`); when
-    the rewriting does not saturate, it materializes with the columnar
-    chase kernel and evaluates over the result.
-
-    ``backend="sqlite"`` loads ``instance`` into a
-    :class:`~repro.storage.sqlite.SQLiteStore` (at ``db_path``, or a
-    private in-memory database) and evaluates the UCQ rewriting there;
-    when the rewriting does not saturate, it falls back to the
-    store-backed chase (:func:`~repro.storage.chasestore.chase_into_store`)
-    and evaluates the query over the materialized store, answers
-    restricted to the base domain as usual.
-
-    ``cancel`` threads a :class:`~repro.chase.engine.CancellationToken`
-    into whichever fallback chase the backend runs (rewriting-route
-    evaluation is not interruptible — it is one query, not a fixpoint);
-    a fired token surfaces as the chase's usual interruption semantics.
+    ``cancel`` reaches the session's chase: a fired token raises
+    :class:`~repro.chase.engine.ChaseCancelled` from the materialization
+    (rewriting-route evaluation is one query, not a fixpoint, and is not
+    interruptible).
 
     A ``db_path`` pointing at a database that already holds facts is
-    accepted only when those facts are content-identical to ``instance``
-    (the digest check mirrors ``OMQASession``'s store reuse); anything
-    else raises :class:`~repro.storage.chasestore.StoreChaseError` —
-    evaluating the rewriting over a mixture of stored and passed facts
-    would return unsound answers.
+    accepted only when those facts are content-identical to ``instance``;
+    anything else raises :class:`~repro.storage.chasestore.StoreChaseError`
+    and leaves the stored facts in place — evaluating the rewriting over a
+    mixture of stored and passed facts would return unsound answers.
     """
     from ..storage.base import resolve_backend
+    from .session import BACKEND_STRATEGIES, OMQASession
 
     resolved = resolve_backend(backend, db_path)
-    if resolved.name == "memory":
-        return certain_answers(
-            theory, query, instance, budget, chase_budget, cancel=cancel
-        )
-    chase_budget = chase_budget or DEFAULT_ANSWER_CHASE_BUDGET
-    if resolved.name == "columnar":
-        from ..chase.columnar_kernel import evaluate_ucq_columnar
-        from ..storage.columnar import ColumnarStore
-
-        result = rewrite(theory, query, budget)
-        if result.complete:
-            with ColumnarStore(instance) as store:
-                answers = evaluate_ucq_columnar(result.ucq, store)
-            if result.always_true and query.is_boolean() and len(instance):
-                answers.add(())
-            return answers
-        materialized = chase(
-            theory, instance, budget=chase_budget, backend="columnar",
-            cancel=cancel,
-        )
-        if not materialized.terminated:
-            raise RuntimeError(
-                "columnar chase did not terminate within budget and the "
-                "rewriting is incomplete; no sound route to certain answers"
-            )
-        with ColumnarStore(materialized.instance) as store:
-            answers = evaluate_ucq_columnar(query, store)
-        return _base_restricted(answers, instance)
-    from ..storage.base import instance_digest
-    from ..storage.chasestore import StoreChaseError, chase_into_store
-    from ..storage.sqlcompile import evaluate_ucq_sql
-    from ..storage.sqlite import SQLiteStore
-
-    result = rewrite(theory, query, budget)
-    with SQLiteStore(resolved.path if resolved.path is not None else ":memory:") as store:
-        if result.complete:
-            if len(store):
-                if store.digest() != instance_digest(instance):
-                    raise StoreChaseError(
-                        f"store at {store.path!r} already holds facts that "
-                        "differ from `instance`; refusing to evaluate the "
-                        "rewriting over the mixture (use a fresh db_path)"
-                    )
-            else:
-                store.add_many(instance)
-            return answer_by_rewriting_sql(theory, query, store, prepared=result)
-        outcome = chase_into_store(
-            theory, instance, store, budget=chase_budget, cancel=cancel
-        )
-        if not outcome.terminated:
-            raise RuntimeError(
-                "store chase did not terminate within budget and the "
-                "rewriting is incomplete; no sound route to certain answers"
-            )
-        return _base_restricted(evaluate_ucq_sql(query, store), instance)
+    session = OMQASession(
+        theory,
+        rewriting_budget=budget,
+        chase_budget=chase_budget,
+        db_path=resolved.path,
+        cancel=cancel,
+    )
+    try:
+        return session.answer(query, instance, BACKEND_STRATEGIES[resolved.name])
+    finally:
+        session.close()
 
 
 @dataclass

@@ -95,11 +95,15 @@ class RewritingResult:
         ``True`` when saturation reached a fixpoint within budget; only
         then is the set guaranteed to be the full rewriting.
     ``always_true``
-        Set when some rewriting chain consumed the whole query against
-        empty-bodied rules: the query is entailed on every instance with a
-        non-empty domain (and on the empty instance too when the final rule
-        had no universal variables).  Boolean-query evaluation must OR this
-        flag in.
+        Set when some rewriting chain consumed the whole query against an
+        empty-bodied rule.  Such a rule fires on every instance with a
+        non-empty domain, so a boolean query holds there.
+    ``always_true_on_empty``
+        Set when one of those steps used an empty-bodied rule with no
+        universal head variable: that rule fires on the empty instance
+        too, so a boolean query holds on every instance.  Answering reads
+        both flags in one place,
+        :func:`repro.rewriting.answering.finish_rewriting_answers`.
     ``explored``
         Number of rewriting steps attempted (a work measure for benches).
     ``stats``
@@ -113,6 +117,7 @@ class RewritingResult:
     ucq: UnionOfCQs
     complete: bool
     always_true: bool = False
+    always_true_on_empty: bool = False
     explored: int = 0
     stats: Telemetry = field(default_factory=Telemetry)
 
@@ -145,7 +150,8 @@ class RewritingBudget:
 
 
 # Rewriting steps that produce no CQ to keep.
-_EMPTY = "empty"  # EmptyRewriting: the query is unconditionally true
+_EMPTY = "empty"  # EmptyRewriting: the query holds on a non-empty domain
+_EMPTY_EVERYWHERE = "empty-everywhere"  # ... and on the empty instance too
 _SKIP = "skip"  # an answer variable lost its last atom (see rewrite())
 _OVERSIZE = "oversize"  # produced CQ exceeds max_disjunct_atoms
 
@@ -215,8 +221,8 @@ def _piece_rewritings(
     """The rewriting steps of one frontier CQ, rule by rule, lazily.
 
     Yields the cored canonical form of each produced CQ, or one of
-    ``_EMPTY`` / ``_SKIP`` / ``_OVERSIZE`` for a step that produces
-    nothing to keep.
+    ``_EMPTY`` / ``_EMPTY_EVERYWHERE`` / ``_SKIP`` / ``_OVERSIZE`` for a
+    step that produces nothing to keep.
     """
     for rule_index in rule_indices:
         rule, rule_vars = renamed[rule_index]
@@ -224,7 +230,8 @@ def _piece_rewritings(
             try:
                 produced = unifier.rewrite(query)
             except EmptyRewriting:
-                yield _EMPTY
+                universal = unifier.rule.universal_head_variables()
+                yield _EMPTY if universal else _EMPTY_EVERYWHERE
                 continue
             except ValueError:
                 yield _SKIP
@@ -402,6 +409,7 @@ def rewrite(
     explored = 0
     complete = True
     always_true = False
+    always_true_on_empty = False
     stopped = False
 
     with telemetry.phase("rewrite"):
@@ -430,6 +438,9 @@ def rewrite(
                         break
                     if produced is _EMPTY:
                         always_true = True
+                        continue
+                    if produced is _EMPTY_EVERYWHERE:
+                        always_true = always_true_on_empty = True
                         continue
                     if produced is _SKIP:
                         continue
@@ -497,6 +508,7 @@ def rewrite(
         ucq=UnionOfCQs(disjuncts, name=f"rew({query!r})"),
         complete=complete,
         always_true=always_true,
+        always_true_on_empty=always_true_on_empty,
         explored=explored,
         stats=telemetry,
     )

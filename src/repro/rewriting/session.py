@@ -26,10 +26,16 @@ Cache keys:
   by :func:`repro.logic.serialize.dump_query` of the canonical shape.
   Reloading a different instance clears the compiled cache (compilation
   prunes disjuncts against the store's predicates and constants) but
-  keeps the term dictionary and tables.  With ``strategy="columnar"``
-  the session keeps a content-keyed
+  keeps the term dictionary and tables.  The session never clears facts
+  it did not load: a ``db_path`` store that already holds other facts
+  raises :class:`~repro.storage.chasestore.StoreChaseError`.  With
+  ``strategy="columnar"`` the session keeps a content-keyed
   :class:`~repro.storage.columnar.ColumnarStore` the same way (term
   dictionary survives reloads; interning is append-only).
+
+:data:`BACKEND_STRATEGIES` maps each storage backend to the strategy that
+evaluates on it; :func:`repro.rewriting.answering.answer`, the CLI and the
+service all route through it.
 """
 
 from __future__ import annotations
@@ -45,13 +51,22 @@ from ..chase.engine import (
     ChaseResult,
     chase,
 )
+from ..logic.containment import evaluate_ucq
 from ..logic.instance import Instance
 from ..logic.query import ConjunctiveQuery
 from ..logic.terms import Term, Variable
 from ..logic.tgd import Theory
 from ..telemetry import Telemetry
-from .answering import answer_by_materialization, answer_by_rewriting
+from .answering import (
+    DEFAULT_ANSWER_CHASE_BUDGET,
+    _finish_rewriting,
+    answer_by_materialization,
+)
 from .engine import RewritingBudget, RewritingResult, rewrite
+
+# Storage backend -> the session strategy that evaluates on it.
+BACKEND_STRATEGIES = {"memory": "auto", "columnar": "columnar", "sqlite": "sql"}
+_STRATEGIES = ("auto", "rewrite", "materialize", "sql", "columnar")
 
 
 def query_shape(query: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -79,11 +94,12 @@ def query_shape(query: ConjunctiveQuery) -> ConjunctiveQuery:
 class OMQASession:
     """A prepared query-answering session over one theory.
 
-    ``answer()`` picks the route: the cached rewriting when it is
-    complete, otherwise a cached fixpoint materialization (raising like
-    :func:`repro.rewriting.answering.certain_answers` when neither route
-    is conclusive).  ``stats`` aggregates the telemetry of every engine
-    run the session triggered; ``cache_info()`` reports hits/misses.
+    ``answer()`` is the one place that picks a route: the cached
+    rewriting when it is complete, otherwise a cached fixpoint
+    materialization (raising when neither route is conclusive).
+    ``stats`` aggregates the telemetry of every engine run the session
+    triggered; ``cache_info()`` reports hits/misses from its
+    ``session.*`` counters.
 
     Sessions are **thread-safe**: one reentrant per-session lock guards
     every cache mutation (``prepare``/``materialize``/``compile_sql``/
@@ -108,9 +124,7 @@ class OMQASession:
     ) -> None:
         self.theory = theory
         self.rewriting_budget = rewriting_budget
-        self.chase_budget = chase_budget or ChaseBudget(
-            max_rounds=100, max_atoms=500_000
-        )
+        self.chase_budget = chase_budget or DEFAULT_ANSWER_CHASE_BUDGET
         # Cooperative cancellation: every chase the session triggers
         # watches this token (the CLI's SIGINT handler fires it), so a
         # long materialization stops at the next check, not at the end.
@@ -129,8 +143,6 @@ class OMQASession:
         self._compiled_sql: dict = {}
         self._columnar_store = None
         self._columnar_digest: "str | None" = None
-        self._hits = {"rewriting": 0, "chase": 0, "sql": 0, "columnar": 0}
-        self._misses = {"rewriting": 0, "chase": 0, "sql": 0, "columnar": 0}
 
     # ------------------------------------------------------------------
     # Prepared artifacts
@@ -146,13 +158,8 @@ class OMQASession:
         with self._lock:
             cached = self._rewritings.get(shape)
             if cached is not None:
-                self._hits["rewriting"] += 1
-                # Mirrored into telemetry so ``--stats`` output (and any
-                # service wrapping the session) can observe per-shape
-                # rewriting amortization without calling cache_info().
                 self.stats.counters["session.rewrite_cache_hits"] += 1
                 return cached
-            self._misses["rewriting"] += 1
             self.stats.counters["session.rewrite_cache_misses"] += 1
             # Still under the lock: concurrent first requests for one
             # shape are single-flight — one compile, the rest hit.
@@ -172,13 +179,10 @@ class OMQASession:
         with self._lock:
             cached = self._chases.get(key)
             if cached is not None:
-                self._hits["chase"] += 1
-                # Mirrored like ``session.rewrite_cache_*`` in prepare():
-                # the key is the instance *content*, so a mutated-then-
-                # restored instance hits here — observable via --stats.
+                # The key is the instance *content*, so a mutated-then-
+                # restored instance hits here.
                 self.stats.counters["session.chase_cache_hits"] += 1
                 return cached
-            self._misses["chase"] += 1
             self.stats.counters["session.chase_cache_misses"] += 1
             result = chase(
                 self.theory,
@@ -288,18 +292,30 @@ class OMQASession:
         when the digest changes, and it invalidates the compiled-SQL
         cache (compilation prunes against the store's predicate tables
         and interned constants, which a new instance may extend).
+
+        Only facts the session loaded itself are ever cleared.  A store
+        the session has not loaded yet (a ``db_path`` database) is used
+        as-is when it is empty or holds exactly ``instance``'s facts;
+        otherwise :class:`~repro.storage.chasestore.StoreChaseError` is
+        raised and the stored facts stay in place.
         """
         from ..storage.base import instance_digest
+        from ..storage.chasestore import StoreChaseError
 
         with self._lock:
             store = self.store()
             digest = instance_digest(instance)
             if digest != self._sql_digest:
-                # Mirrored like ``session.rewrite_cache_*``: a miss is a
-                # store reload, observable via --stats and /metrics.
                 self.stats.counters["session.sql_load_misses"] += 1
-                store.clear_facts()
-                store.add_many(instance)
+                if self._sql_digest is not None or not len(store):
+                    store.clear_facts()
+                    store.add_many(instance)
+                elif store.digest() != digest:
+                    raise StoreChaseError(
+                        f"store at {store.path!r} already holds facts that "
+                        "differ from `instance`; refusing to evaluate the "
+                        "rewriting over them (use a fresh db_path)"
+                    )
                 self._compiled_sql.clear()
                 self._sql_digest = digest
             else:
@@ -322,13 +338,11 @@ class OMQASession:
                 self._columnar_store = ColumnarStore(telemetry=self.stats)
             digest = instance_digest(instance)
             if digest != self._columnar_digest:
-                self._misses["columnar"] += 1
                 self.stats.counters["session.columnar_load_misses"] += 1
                 self._columnar_store.clear_facts()
                 self._columnar_store.add_many(instance)
                 self._columnar_digest = digest
             else:
-                self._hits["columnar"] += 1
                 self.stats.counters["session.columnar_load_hits"] += 1
             return self._columnar_store
 
@@ -351,9 +365,9 @@ class OMQASession:
             key = dump_query(query_shape(query))
             cached = self._compiled_sql.get(key)
             if cached is not None:
-                self._hits["sql"] += 1
+                self.stats.counters["session.sql_compile_hits"] += 1
                 return cached
-            self._misses["sql"] += 1
+            self.stats.counters["session.sql_compile_misses"] += 1
             compiled = compile_ucq(prepared.ucq, store)
             self._compiled_sql[key] = compiled
             return compiled
@@ -369,27 +383,46 @@ class OMQASession:
     ) -> set[tuple[Term, ...]]:
         """Certain answers using the session's prepared artifacts.
 
-        ``strategy``: ``'rewrite'`` forces the rewriting route (raises on
-        an incomplete rewriting), ``'materialize'`` forces the chase
-        route, ``'sql'`` evaluates the compiled rewriting inside the
-        session's SQLite store (same answers as ``'rewrite'``, pinned by
-        the equivalence tests), ``'columnar'`` evaluates the rewriting as
-        hash joins over the session's interned-id
-        :class:`~repro.storage.columnar.ColumnarStore` (falling back to
-        the cached materialization when the rewriting is incomplete),
-        ``'auto'`` prefers a complete rewriting and falls back to
-        materialization.
+        A complete rewriting is evaluated where ``strategy`` says:
+        ``'auto'`` and ``'rewrite'`` over ``instance`` in RAM, ``'sql'``
+        compiled to SQL inside the session's SQLite store, ``'columnar'``
+        as hash joins over the session's interned-id
+        :class:`~repro.storage.columnar.ColumnarStore`; every one gives
+        the same answers (pinned by the equivalence tests).  When the
+        rewriting is incomplete, every strategy but ``'rewrite'`` (which
+        raises) falls back to the one materialization route, the cached
+        fixpoint :meth:`materialize`; ``'materialize'`` forces that route.
 
         .. versionadded:: 1.2
             The ``'columnar'`` strategy; the name matches the chase/
             answer backend resolved by :func:`repro.storage.resolve_backend`.
         """
-        if strategy not in ("auto", "rewrite", "materialize", "sql", "columnar"):
-            raise ValueError(
-                "strategy must be 'auto', 'rewrite', 'materialize', 'sql' "
-                "or 'columnar'"
-            )
+        if strategy not in _STRATEGIES:
+            raise ValueError(f"strategy must be one of {_STRATEGIES}")
         shape = query_shape(query)
+        if strategy != "materialize":
+            prepared = self.prepare(query)
+            if prepared.complete:
+                return _finish_rewriting(
+                    prepared,
+                    shape,
+                    instance,
+                    self._evaluate(prepared, query, instance, strategy),
+                    lambda: self._materialized_answers(shape, instance),
+                )
+            if strategy == "rewrite":
+                raise RuntimeError("rewriting incomplete; cannot answer soundly")
+        return self._materialized_answers(shape, instance)
+
+    def _evaluate(
+        self,
+        prepared: RewritingResult,
+        query: ConjunctiveQuery,
+        instance: Instance,
+        strategy: str,
+    ) -> set[tuple[Term, ...]]:
+        """The complete rewriting's UCQ over ``instance``, on the
+        strategy's backend."""
         if strategy == "columnar":
             from ..chase.columnar_kernel import evaluate_ucq_columnar
 
@@ -397,49 +430,24 @@ class OMQASession:
             # columnar store, and another thread answering a different
             # instance would repopulate it mid-join otherwise.
             with self._lock:
-                prepared = self.prepare(query)
-                if prepared.complete:
-                    store = self._loaded_columnar(instance)
-                    answers = evaluate_ucq_columnar(prepared.ucq, store)
-                    if (
-                        prepared.always_true
-                        and query.is_boolean()
-                        and len(instance)
-                    ):
-                        answers.add(())
-                    return answers
-                materialized = self.materialize(instance)
-                store = self._loaded_columnar(materialized.instance)
-                answers = evaluate_ucq_columnar(shape, store)
-            domain = instance.domain()
-            return {
-                tup for tup in answers if all(term in domain for term in tup)
-            }
+                store = self._loaded_columnar(instance)
+                return evaluate_ucq_columnar(prepared.ucq, store)
         if strategy == "sql":
             from ..storage.sqlcompile import execute_compiled
 
-            # Same shared-store discipline as 'columnar': the compiled
-            # plan is only valid against the store state it was compiled
-            # for, so the load + execute pair must not interleave with a
-            # concurrent reload.
+            # The compiled plan is only valid against the store state it
+            # was compiled for, so load + execute must not interleave
+            # with a concurrent reload.
             with self._lock:
-                prepared = self.prepare(query)
                 compiled = self.compile_sql(query, instance)
-                answers = execute_compiled(compiled, self.store())
-                if prepared.always_true and query.is_boolean() and len(instance):
-                    answers.add(())
-                return answers
-        if strategy in ("auto", "rewrite"):
-            prepared = self.prepare(query)
-            if prepared.complete:
-                return answer_by_rewriting(
-                    self.theory, shape, instance, prepared=prepared
-                )
-            if strategy == "rewrite":
-                raise RuntimeError("rewriting incomplete; cannot answer soundly")
-        materialized = self.materialize(instance)
+                return execute_compiled(compiled, self.store())
+        return evaluate_ucq(prepared.ucq, instance)
+
+    def _materialized_answers(
+        self, shape: ConjunctiveQuery, instance: Instance
+    ) -> set[tuple[Term, ...]]:
         return answer_by_materialization(
-            self.theory, shape, instance, prepared=materialized
+            self.theory, shape, instance, prepared=self.materialize(instance)
         )
 
     def answer_many(
@@ -455,28 +463,25 @@ class OMQASession:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, dict[str, int]]:
+        """Hits, misses and entries per cache; hits and misses are the
+        ``session.*`` counters in ``stats``."""
+        counters = self.stats.counters
+
+        def info(counter: str, entries: int) -> dict[str, int]:
+            return {
+                "hits": counters.get(f"session.{counter}_hits", 0),
+                "misses": counters.get(f"session.{counter}_misses", 0),
+                "entries": entries,
+            }
+
         with self._lock:
             return {
-                "rewriting": {
-                    "hits": self._hits["rewriting"],
-                    "misses": self._misses["rewriting"],
-                    "entries": len(self._rewritings),
-                },
-                "chase": {
-                    "hits": self._hits["chase"],
-                    "misses": self._misses["chase"],
-                    "entries": len(self._chases),
-                },
-                "sql": {
-                    "hits": self._hits["sql"],
-                    "misses": self._misses["sql"],
-                    "entries": len(self._compiled_sql),
-                },
-                "columnar": {
-                    "hits": self._hits["columnar"],
-                    "misses": self._misses["columnar"],
-                    "entries": 1 if self._columnar_digest is not None else 0,
-                },
+                "rewriting": info("rewrite_cache", len(self._rewritings)),
+                "chase": info("chase_cache", len(self._chases)),
+                "sql": info("sql_compile", len(self._compiled_sql)),
+                "columnar": info(
+                    "columnar_load", 1 if self._columnar_digest is not None else 0
+                ),
             }
 
     def clear(self) -> None:

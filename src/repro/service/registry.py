@@ -24,12 +24,16 @@ The service's concurrency model lives here:
   generation → reopen the connection (a replace rebuilds the database,
   invalidating interned ids).
 
-Soundness of the read path: the store holds ``chase(D)`` at a fixpoint,
-and for a fixpoint instance evaluating the (complete) rewriting — or,
-when the rewriting is incomplete, the query shape itself — computes
-``q(chase(D))``; restricting answer tuples to the *base* domain then
-yields exactly the certain answers (the same filter
-``answer_by_materialization`` applies in memory).
+Backends map to session strategies through
+:data:`~repro.rewriting.session.BACKEND_STRATEGIES`; ``memory`` and
+``columnar`` answer through the session, ``sqlite`` through the WAL
+reader.  Soundness of the read path: the store holds ``chase(D)`` at a
+fixpoint, and for a fixpoint instance evaluating the (complete)
+rewriting — or, when the rewriting is incomplete, the query shape
+itself — computes ``q(chase(D))``: the kept set always holds the query
+or a CQ that contains it, so no boolean fix-up is needed.  Restricting
+answer tuples to the *base* domain then yields exactly the certain
+answers (the filter ``answer_by_materialization`` applies in memory).
 """
 
 from __future__ import annotations
@@ -47,12 +51,13 @@ from ..logic.instance import Instance
 from ..logic.query import ConjunctiveQuery, UnionOfCQs
 from ..logic.terms import Term
 from ..logic.tgd import Theory
-from ..rewriting.session import OMQASession, query_shape
+from ..rewriting.answering import _base_restricted
+from ..rewriting.session import BACKEND_STRATEGIES, OMQASession, query_shape
 from ..storage.chasestore import chase_into_store, update_store_chase
 from ..storage.sqlcompile import evaluate_ucq_sql
 from ..storage.sqlite import SQLiteStore
 
-BACKENDS = ("memory", "columnar", "sqlite")
+BACKENDS = tuple(BACKEND_STRATEGIES)
 
 
 def answers_digest(answers: "set[tuple[Term, ...]]") -> str:
@@ -214,27 +219,19 @@ class TheoryEntry:
         self, query: ConjunctiveQuery, backend: str = "memory"
     ) -> "set[tuple[Term, ...]]":
         """Certain answers for ``query`` over the live instance."""
-        if backend == "memory":
-            return self.session.answer(query, self.base, strategy="auto")
-        if backend == "columnar":
-            return self.session.answer(query, self.base, strategy="columnar")
-        if backend != "sqlite":
+        if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
+        if backend != "sqlite":
+            return self.session.answer(query, self.base, BACKEND_STRATEGIES[backend])
         # sqlite: evaluate over this thread's WAL reader — prepare() is
         # the only session call, so reads share the rewriting cache but
         # never serialize on store loading.
         prepared = self.session.prepare(query)
         shape = query_shape(query)
         target = prepared.ucq if prepared.complete else UnionOfCQs((shape,))
-        store = self._reader_store()
-        answers = evaluate_ucq_sql(target, store)
-        domain = self.base.domain()
-        answers = {
-            tup for tup in answers if all(term in domain for term in tup)
-        }
-        if prepared.always_true and query.is_boolean() and len(self.base):
-            answers.add(())
-        return answers
+        return _base_restricted(
+            evaluate_ucq_sql(target, self._reader_store()), self.base
+        )
 
     def close(self) -> None:
         self.session.close()

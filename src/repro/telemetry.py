@@ -51,8 +51,8 @@ rewrite.oversize_dropped / rewrite.evicted_while_queued``
 ``session.rewrite_cache_hits / session.rewrite_cache_misses /
 session.chase_cache_hits / session.chase_cache_misses``
     ``OMQASession`` cache outcomes — rewritings per query shape, chases
-    per instance content — mirrored into the session's aggregated stats
-    for ``--stats`` output; under concurrent callers the rewrite
+    per instance content — in the session's aggregated stats (the one
+    source ``cache_info()`` and ``--stats`` read); under concurrent callers the rewrite
     counters also certify single-flight compilation (one miss per
     shape, racing requests counted as hits);
 ``session.columnar_load_hits / session.columnar_load_misses /
@@ -60,6 +60,10 @@ session.sql_load_hits / session.sql_load_misses``
     ``OMQASession`` store-load outcomes for the ``columnar`` and ``sql``
     strategies: a hit reuses the loaded store (the instance digest
     matched), a miss (the first load, or changed content) reloads it;
+``session.sql_compile_hits / session.sql_compile_misses``
+    ``OMQASession`` compiled-SQL cache outcomes per query shape;
+    ``cache_info()`` reads every hit and miss it reports from these
+    ``session.*`` counters;
 ``service.requests / service.responses_2xx / service.responses_4xx /
 service.responses_5xx / service.theories / service.uploads /
 service.appends / service.retracts / service.queries /

@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from repro.chase import ChaseBudget, ChaseBudgetExceeded, chase, chase_to_fixpoint, resume
+from repro.chase import ChaseBudget, ChaseBudgetExceeded, chase, resume
 from repro.chase.skolem import skolemize
 from repro.logic import Instance, parse_instance, parse_query, parse_theory
 from repro.logic.atoms import Atom
@@ -145,9 +145,11 @@ class TestTermination:
         assert result.terminated
         assert result.rounds_run == 2
 
-    def test_chase_to_fixpoint_raises_on_divergence(self):
+    def test_h_star_raises_on_divergence(self):
+        from repro.frontier import h_star
+
         with pytest.raises(ChaseBudgetExceeded):
-            chase_to_fixpoint(t_p(), parse_instance("E(a, b)"), budget=ChaseBudget(max_rounds=5))
+            h_star(t_p(), parse_instance("E(a, b)"), max_rounds=5)
 
     def test_atom_budget_stops_early(self):
         result = chase(t_d(), green_path(2), budget=ChaseBudget(max_rounds=20, max_atoms=100))

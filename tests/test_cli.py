@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.telemetry import validate_stats_dict
+from tests.test_storage_equivalence import BOOLEAN_PROBES
 
 TA = "Human(y) -> exists z. Mother(y, z)\nMother(x, y) -> Human(y)"
 
@@ -249,6 +250,43 @@ class TestAnswerCommand:
         assert sqlite["strategy"] == "sql"
         assert sorted(sqlite["answers"]) == sorted(memory["answers"])
         assert sqlite["cache_info"]["sql"]["misses"] == 1
+
+
+class TestAnswerRoutes:
+    TC = "E(x, y), E(y, z) -> E(x, z)"
+
+    @pytest.mark.parametrize("backend", ["memory", "columnar", "sqlite"])
+    @pytest.mark.parametrize("theory, instance, query", BOOLEAN_PROBES)
+    def test_boolean_probes_match_materialization(
+        self, theory, instance, query, backend, capsys
+    ):
+        from repro.logic import parse_instance, parse_query, parse_theory
+        from repro.rewriting import answer_by_materialization
+
+        expected = answer_by_materialization(
+            parse_theory(theory), parse_query(query), parse_instance(instance)
+        )
+        args = ["answer", "-e", theory, instance, query, "--backend", backend, "--json"]
+        assert main(args) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["answer_count"] == len(expected)
+
+    def test_refused_answer_keeps_the_stored_facts(self, tmp_path, capsys):
+        db = str(tmp_path / "chased.db")
+        chase = ["chase", "-e", self.TC]
+        options = ["--backend", "sqlite", "--db", db, "--json"]
+        assert main(chase + ["E(a, b). E(b, c)."] + options) == 0
+        assert json.loads(capsys.readouterr().out)["digest"] == "e9549d10fff53bfe"
+        code = main(
+            [
+                "answer", "-e", self.TC, "E(p, q).", "q(x) := exists y. E(x, y)",
+                "--backend", "sqlite", "--db", db,
+            ]
+        )
+        assert code == 2
+        assert "already holds facts" in capsys.readouterr().err
+        assert main(chase + ["--resume"] + options) == 0
+        assert json.loads(capsys.readouterr().out)["digest"] == "e9549d10fff53bfe"
 
 
 class TestClassifyCommand:

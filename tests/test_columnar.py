@@ -299,8 +299,8 @@ class TestColumnarQueryEvaluation:
         assert answer(theory, query, instance, backend="sqlite") == expected
 
     def test_answer_backend_equivalence_incomplete(self):
-        # Cut the rewriting short so the columnar route exercises its
-        # materialize-then-evaluate fallback.
+        # Cut the rewriting short so the columnar backend takes the
+        # session's one materialization fallback.
         theory = parse_theory("E(x,y), E(y,z) -> E(x,z)")
         instance = parse_instance("E('a','b'), E('b','c'), E('c','d')")
         query = parse_query("q(x, z) := E(x, z)")

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chase import ChaseBudget, ChaseBudgetExceeded, chase, chase_to_fixpoint
+from repro.chase import ChaseBudget, ChaseBudgetExceeded, chase
 from repro.frontier import (
     MarkedQuery,
     NoMaximalVariable,
     NormalizationError,
     apply_operation,
+    h_star,
     normalize,
 )
 from repro.frontier.process import run_process
@@ -42,7 +43,7 @@ class TestChaseBudgets:
 
     def test_fixpoint_helper_refuses_divergence(self):
         with pytest.raises(ChaseBudgetExceeded):
-            chase_to_fixpoint(t_p(), parse_instance("E(a, b)"), budget=ChaseBudget(max_rounds=4))
+            h_star(t_p(), parse_instance("E(a, b)"), max_rounds=4)
 
     def test_empty_instance_empty_theory(self):
         from repro.logic.tgd import Theory

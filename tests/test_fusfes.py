@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chase import chase, chase_to_fixpoint, core_termination, is_model
+from repro.chase import chase, core_termination, is_model
 from repro.frontier import (
     banned_terms,
     global_folding,
@@ -16,6 +16,13 @@ from repro.frontier import (
 from repro.logic import Instance, parse_instance, parse_theory
 from repro.logic.instance import subsets_of_size_at_most
 from repro.workloads import edge_cycle, edge_path, example28_slice, exercise23
+
+
+def _fixpoint(theory, base):
+    """The terminating chase of ``base`` (these fixtures are AIT)."""
+    result = chase(theory, base)
+    assert result.terminated
+    return result
 
 
 @pytest.fixture
@@ -64,7 +71,7 @@ class TestLemma35:
     def test_h_star_maps_chase_into_core(self, ait_theory):
         base = parse_instance("P(a). E(a, c)")
         core, hom = h_star(ait_theory, base)
-        full = chase_to_fixpoint(ait_theory, base).instance
+        full = _fixpoint(ait_theory, base).instance
         for term in full.domain():
             assert hom[term] in core.domain()
 
@@ -74,9 +81,9 @@ class TestLemma37:
         """Definition 36's M_F satisfies the theory (checked exactly on a
         terminating chase)."""
         base = parse_instance("P(a). P(b)")
-        full = chase_to_fixpoint(ait_theory, base).instance
+        full = _fixpoint(ait_theory, base).instance
         for part in subsets_of_size_at_most(base, 1):
-            part_chase = chase_to_fixpoint(ait_theory, part).instance
+            part_chase = _fixpoint(ait_theory, part).instance
             core, _ = h_star(ait_theory, part)
             m_f = m_f_structure(full, part_chase, core)
             assert is_model(m_f, ait_theory)
@@ -84,9 +91,9 @@ class TestLemma37:
 
     def test_banned_terms_excluded(self, ait_theory):
         base = parse_instance("P(a). P(b)")
-        full = chase_to_fixpoint(ait_theory, base).instance
+        full = _fixpoint(ait_theory, base).instance
         part = Instance([next(iter(parse_instance("P(a)")))])
-        part_chase = chase_to_fixpoint(ait_theory, part).instance
+        part_chase = _fixpoint(ait_theory, part).instance
         core, _ = h_star(ait_theory, part)
         banned = banned_terms(part_chase, core)
         m_f = m_f_structure(full, part_chase, core)

@@ -9,10 +9,10 @@ from repro.logic.containment import are_equivalent, evaluate_ucq
 from repro.logic.terms import FreshVariables
 from repro.rewriting import (
     RewritingBudget,
+    answer,
     answer_by_materialization,
     answer_by_rewriting,
     atomic_rewriting_sizes,
-    certain_answers,
     cross_validate,
     depth_bound_from_rewriting,
     enough,
@@ -147,8 +147,11 @@ class TestAnswering:
         # Example 41 is datalog (terminating chase) but not BDD.
         query = parse_query("q(x, z) := R(x, z)")
         base = parse_instance("E(a, b, c). R(a, c)")
-        answers = certain_answers(
-            example41(), query, base, RewritingBudget(max_kept=20, max_steps=2_000)
+        answers = answer(
+            example41(),
+            query,
+            base,
+            budget=RewritingBudget(max_kept=20, max_steps=2_000),
         )
         from repro.logic.terms import Constant
 
@@ -161,6 +164,20 @@ class TestAnswering:
         from repro.logic.terms import Constant
 
         assert answers == {(Constant("abel"),)}
+
+    def test_ground_bodyless_rule_answers_without_a_chase(self):
+        # The chase never terminates, so only the rewriting can answer:
+        # the bodyless rule has no universal head variable and fires on
+        # the empty instance.
+        theory = parse_theory(
+            "true -> exists x. R(x)\nR(x) -> exists y. S(x, y)\nS(x, y) -> R(y)"
+        )
+        query = parse_query("q() := exists x. R(x)")
+        result = rewrite(theory, query)
+        assert result.complete and result.always_true_on_empty
+        assert answer(theory, query, parse_instance("")) == {()}
+        universal = parse_theory("true -> exists z. R(x, z)")
+        assert not rewrite(universal, query).always_true_on_empty
 
     def test_materialization_depth_control(self):
         query = parse_query("q(x) := exists y. Mother(x, y)")

@@ -142,6 +142,24 @@ class TestEndToEnd:
 
         run(_with_service(body))
 
+    def test_empty_instance_boolean_query_on_every_backend(self):
+        """A bodyless rule with no universal head variable fires on the
+        empty instance, so the boolean query holds with nothing uploaded."""
+
+        async def body(service):
+            theory = parse_theory("true -> exists x. R(x)", name="ground")
+            query = parse_query("q() := exists x. R(x)")
+            client = await ServiceClient(service.host, service.port).connect()
+            tid = (await client.register_theory(theory))["id"]
+            fresh = OMQASession(theory).answer(query, parse_instance(""))
+            assert fresh == {()}
+            for backend in ("memory", "columnar", "sqlite"):
+                document = await client.query(tid, query, backend=backend)
+                assert document["digest"] == answers_digest(fresh), backend
+            await client.close()
+
+        run(_with_service(body))
+
     def test_incomplete_rewriting_falls_back_to_chased_store(self):
         """Non-FO-rewritable theory: sqlite answers via the fixpoint."""
 

@@ -9,7 +9,7 @@ from repro.chase import ChaseBudget
 from repro.chase.engine import ChaseBudgetExceeded
 from repro.logic import parse_instance, parse_query, parse_theory
 from repro.logic.instance import Instance
-from repro.rewriting import certain_answers, query_shape
+from repro.rewriting import answer, query_shape
 
 TA = "Human(y) -> exists z. Mother(y, z)\nMother(x, y) -> Human(y)"
 UNIVERSITY = (
@@ -93,9 +93,7 @@ class TestAnswering:
             "q(s) := exists c, p. EnrolledIn(s, c), TaughtBy(c, p), Person(p)"
         )
         session = OMQASession(theory)
-        assert session.answer(query, instance) == certain_answers(
-            theory, query, instance
-        )
+        assert session.answer(query, instance) == answer(theory, query, instance)
 
     def test_materialize_strategy(self):
         theory = parse_theory(UNIVERSITY)
@@ -103,7 +101,7 @@ class TestAnswering:
         query = parse_query("q(p) := Person(p)")
         session = OMQASession(theory)
         answers = session.answer(query, instance, strategy="materialize")
-        assert answers == certain_answers(theory, query, instance)
+        assert answers == answer(theory, query, instance)
         assert session.cache_info()["chase"]["entries"] == 1
 
     def test_answer_many_shares_caches(self):
@@ -320,7 +318,7 @@ class TestThreadSafety:
             parse_query("q(p) := Person(p)"),
             parse_query("q(s, c) := EnrolledIn(s, c)"),
         ]
-        expected = [certain_answers(theory, q, instance) for q in queries]
+        expected = [answer(theory, q, instance) for q in queries]
         session = OMQASession(theory)
         failures = []
         barrier = threading.Barrier(self.THREADS)

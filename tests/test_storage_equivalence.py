@@ -12,6 +12,9 @@ equalities per seed:
   rewriting over the same base facts;
 * the store's content digest == the instance's digest (round-trip
   identity through the term dictionary and back).
+
+Boolean probes whose rewriting a bodyless rule consumes whole pin every
+backend and session strategy to the materialization route.
 """
 
 from __future__ import annotations
@@ -117,6 +120,36 @@ def test_answer_sqlite_guards_prepopulated_db(tmp_path):
             backend="sqlite",
             db_path=db,
         )
+
+
+# (theory, instance, boolean query) whose rewriting a bodyless rule
+# consumes whole, over an empty active domain: the finishing step must
+# tell a rule that fires on the empty instance from one that needs a term.
+BOOLEAN_PROBES = [
+    ("true -> exists x. R(x)", "", "q() := exists x. R(x)"),
+    ("true -> exists z. R(x, z)", "P().", "q() := exists x, y. R(x, y)"),
+    ("true -> exists z. R(x, z)", "", "q() := exists x, y. R(x, y)"),
+]
+
+
+@pytest.mark.parametrize("theory, instance, query", BOOLEAN_PROBES)
+def test_boolean_probes_match_materialization(theory, instance, query):
+    from repro.logic import parse_instance, parse_query, parse_theory
+
+    theory = parse_theory(theory, name="probe")
+    instance = parse_instance(instance)
+    query = parse_query(query)
+    assert rewrite(theory, query).always_true
+    expected = answer_by_materialization(theory, query, instance)
+    for backend in ("memory", "columnar", "sqlite"):
+        assert answer(theory, query, instance, backend=backend) == expected, backend
+    session = OMQASession(theory)
+    try:
+        for strategy in ("auto", "columnar", "sql", "materialize"):
+            got = session.answer(query, instance, strategy)
+            assert got == expected, strategy
+    finally:
+        session.close()
 
 
 @pytest.mark.parametrize("seed", range(8))

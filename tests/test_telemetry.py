@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.chase import ChaseBudget, chase, chase_to_fixpoint, resume
+from repro.chase import ChaseBudget, chase, resume
 from repro.logic import parse_instance, parse_query, parse_theory
 from repro.rewriting import answer_by_materialization, rewrite
 from repro.telemetry import Telemetry, validate_stats_dict
@@ -192,8 +192,6 @@ class TestBudgetAPI:
         )
         with pytest.raises(TypeError, match=unexpected):
             resume(truncated, 1, max_atoms=10)
-        with pytest.raises(TypeError, match=unexpected):
-            chase_to_fixpoint(theory, base, max_rounds=5)
         with pytest.raises(TypeError, match=unexpected):
             answer_by_materialization(
                 theory, parse_query("q(x) := Q(x)"), base, max_rounds=5

@@ -60,8 +60,9 @@ exactly.
 
 The store-backed analogue is :func:`update_store_chase`, which walks
 the ``repro_supports`` table persisted by
-:func:`repro.storage.chase_into_store` instead of in-memory derivations,
-and still re-derives with one full-width round over the survivors.
+:func:`repro.storage.chase_into_store` instead of in-memory derivations
+and probes the cone the same way, one ``SELECT … LIMIT 1`` of the rule
+body per probe, with the head's frontier columns bound.
 
 Counters (``delta.*``, see ``docs/incremental.md``): ``delta.updates``,
 ``delta.noops``, ``delta.added_base``, ``delta.retracted_base``,
@@ -417,9 +418,11 @@ def update_store_chase(
     run of ``theory`` (matching theory text, current schema).  Additions
     are inserted at a fresh round tag and chased semi-naively with the
     store-chase's standard pivot plans; retractions walk the persisted
-    ``repro_supports`` edges to over-delete the cone, then re-derive
-    survivors with one full-width round before going semi-naive.  Same
-    digest as clearing the store and re-chasing the updated base.
+    ``repro_supports`` edges to over-delete the cone, then probe each
+    cone fact with a head-bound ``SELECT … LIMIT 1`` over the survivors
+    (the deletion, the hits and the new base commit as one transaction),
+    and the hits seed the semi-naive rounds.  Same digest as clearing
+    the store and re-chasing the updated base.
 
     Implemented in :mod:`repro.storage.chasestore` (the storage layer
     owns the SQL); this is the stable import point next to

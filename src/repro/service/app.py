@@ -45,6 +45,7 @@ text.  Every error body is ``{"error": {"code": ..., "message": ...}}``.
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 from typing import Awaitable, Callable
 
 from ..logic.parser import ParseError
@@ -258,8 +259,9 @@ class ServiceApp:
         }
 
     def _metrics(self) -> dict:
-        process = Telemetry()
-        process.merge(self.stats)
+        # Counters only: merging whole collectors would copy every round
+        # record on each call, making /metrics O(history).
+        process = Counter(self.stats.counters)
         theories = {}
         for entry in self.registry.entries():
             theories[entry.id] = {
@@ -271,12 +273,9 @@ class ServiceApp:
                     for name in sorted(entry.session.stats.counters)
                 },
             }
-            process.merge(entry.session.stats)
+            process.update(entry.session.stats.counters)
         return {
-            "process": {
-                name: process.counters[name]
-                for name in sorted(process.counters)
-            },
+            "process": {name: process[name] for name in sorted(process)},
             "theories": theories,
         }
 

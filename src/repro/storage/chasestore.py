@@ -19,10 +19,12 @@ only in a :class:`~repro.storage.sqlite.SQLiteStore`:
   rows go back via batched ``INSERT OR IGNORE`` — no Python ``Term`` or
   ``Atom`` objects exist for the facts themselves, so peak RSS is
   bounded by the batch size, not the instance;
-* the chase state (theory, completed rounds, termination) is persisted
-  in the store's meta table after every round, so a budget-stopped run
-  is resumable from disk — by Observation 8 and Skolem-naming
-  determinism the continuation is exact, not approximate;
+* the chase state (theory, completed rounds, termination, and a
+  snapshot of the counters and phase timers whose size does not grow
+  with the run's history) is persisted in the store's meta table after
+  every round, so a budget-stopped run is resumable from disk — by
+  Observation 8 and Skolem-naming determinism the continuation is
+  exact, not approximate;
 * each round commits **atomically**: the round's fact rows and the
   updated ``storechase.*`` state land in one SQLite transaction, so a
   process killed at *any* instant (even ``SIGKILL`` mid-insert) leaves
@@ -49,6 +51,7 @@ import json
 import os
 import signal
 import time
+import weakref
 from dataclasses import dataclass
 
 from .. import faults
@@ -128,6 +131,7 @@ class _StoreRule:
                 if isinstance(term, Variable) and term not in body_vars:
                     body_vars.append(term)
         self.body_vars = tuple(body_vars)
+        self.body_predicates = frozenset(item.predicate for item in self.body)
         # Universal head variables range over the round's domain; their
         # values extend each body row (the planner's canonical order).
         self.universal = tuple(
@@ -179,6 +183,53 @@ class _StoreRule:
             out.append((predicate, tuple(ids)))
         return out
 
+    def bind_head(
+        self, slots: tuple, ids: "tuple[int, ...]", store: SQLiteStore
+    ) -> "dict[int, int] | None":
+        """Sigma positions fixed by matching one head's slots to a fact row.
+
+        A ``"v"`` slot binds its position (a repeated variable must
+        agree), a ``"c"`` slot must equal the fact's id, and an ``"f"``
+        slot must hold a Skolem term of its functor, whose child ids
+        bind the slot's positions.  ``None`` when the fact does not
+        match the head.
+        """
+        binding: dict[int, int] = {}
+        for slot, term_id in zip(slots, ids):
+            if slot[0] == "v":
+                if binding.setdefault(slot[1], term_id) != term_id:
+                    return None
+            elif slot[0] == "c":
+                if slot[1] != term_id:
+                    return None
+            else:
+                parts = store.function_parts(term_id)
+                if parts is None or parts[0] != slot[1]:
+                    return None
+                for index, child in zip(slot[2], parts[1]):
+                    if binding.setdefault(index, child) != child:
+                        return None
+        return binding
+
+    def probe(self, store: SQLiteStore, binding: "dict[int, int]"):
+        """One body row agreeing with ``binding`` over the store, or ``None``."""
+        if not self.body:
+            return ()
+        compiled = build_select(
+            self.body,
+            self.body_vars,
+            store,
+            limit_one=True,
+            distinct=False,
+            bound={self.body_vars[index]: value for index, value in binding.items()},
+        )
+        if compiled is None:
+            return None
+        row = store._select(compiled.sql, compiled.params).fetchone()
+        if row is not None:
+            store.stats.counters["store.rows_scanned"] += 1
+        return row
+
     def parent_keys(self, row: tuple) -> "list[str]":
         """The body image of one sigma row, as fact keys."""
         keys = []
@@ -201,28 +252,39 @@ class _StoreRule:
             counters["store.rows_scanned"] += 1
             yield row
 
-    def sources(self, store: SQLiteStore, last: int, full: bool, domain):
+    def sources(
+        self, store: SQLiteStore, last: int, full: bool, domain, delta=None
+    ):
         """This round's sigma rows, as a list of row iterables.
 
-        ``full`` (the first round, or the re-derive pass after a
+        ``full`` (the first round, or the legacy repair round after a
         retraction) evaluates the body over everything up to round
         ``last``; otherwise one semi-naive plan per pivot pins the pivot
         to ``last``, atoms before it to strictly older rounds and atoms
         after it to ``<= last``, so each delta-touching sigma comes up
-        exactly once.  Rules with universal variables extend the rows
-        through :func:`~repro.chase.engine.universal_matches` over
-        ``domain`` (see :func:`_domain`).
+        exactly once.  A pivot whose predicate is not in ``delta`` (the
+        predicates with rows tagged ``last``; ``None`` when unknown)
+        cannot match and is skipped (``plan.pivots_skipped``).  Rules
+        with universal variables extend the rows through
+        :func:`~repro.chase.engine.universal_matches` over ``domain``
+        (see :func:`_domain`).
         """
         width = len(self.body)
         everything = [("le", last)] * width
         if full:
             plans = [everything]
         else:
+            pivots = [
+                pivot
+                for pivot in range(width)
+                if delta is None or self.body[pivot].predicate in delta
+            ]
+            store.stats.counters["plan.pivots_skipped"] += width - len(pivots)
             plans = [
                 [("lt", last)] * pivot
                 + [("eq", last)]
                 + [("le", last)] * (width - pivot - 1)
-                for pivot in range(width)
+                for pivot in pivots
             ]
         if width:
             sources = [self.select(store, bounds) for bounds in plans]
@@ -265,15 +327,36 @@ def _domain(store: SQLiteStore, last: int) -> "tuple[list, list, list]":
     return pool, delta, old
 
 
+def _store_rules(theory: Theory, store: SQLiteStore) -> "list[_StoreRule]":
+    """The theory's rules compiled for ``store``, once per (theory, store).
+
+    The ``"c"`` slots hold the store's interned ids, which stay valid
+    while the term dictionary does: :meth:`SQLiteStore.clear_facts`
+    keeps it, and :meth:`SQLiteStore.rollback` drops this cache.
+    """
+    rules = store.compiled_rules.get(theory)
+    if rules is None:
+        rules = [_StoreRule(rule, store) for rule in theory]
+        store.compiled_rules[theory] = rules
+    return rules
+
+
+_THEORY_TEXT: "weakref.WeakKeyDictionary[Theory, str]" = weakref.WeakKeyDictionary()
+
+
 def _theory_text(theory: Theory) -> str:
     """Canonical rule text for state matching: one rule a line, no name header.
 
     :func:`~repro.logic.serialize.dump_rule` carries no labels and quotes
     constants, so a theory reparsed from this text (labels regenerated)
     is the same theory and serializes back to the same string — resume
-    matching survives the round-trip.
+    matching survives the round-trip.  Computed once per ``Theory``.
     """
-    return "\n".join(dump_rule(rule) for rule in theory) + "\n"
+    text = _THEORY_TEXT.get(theory)
+    if text is None:
+        text = "\n".join(dump_rule(rule) for rule in theory) + "\n"
+        _THEORY_TEXT[theory] = text
+    return text
 
 
 def _chased_under(persisted: str, theory: Theory) -> bool:
@@ -282,9 +365,8 @@ def _chased_under(persisted: str, theory: Theory) -> bool:
     Databases written before rule text quoted constants hold the rules'
     ``repr``s (constants bare); those still match the theory passed in.
     """
-    return persisted in (
-        _theory_text(theory),
-        "\n".join(repr(rule) for rule in theory) + "\n",
+    return persisted == _theory_text(theory) or persisted == (
+        "\n".join(repr(rule) for rule in theory) + "\n"
     )
 
 
@@ -297,7 +379,11 @@ def _persist_state(
 ) -> None:
     store.set_meta("storechase.rounds", str(rounds), commit=False)
     store.set_meta("storechase.terminated", "1" if terminated else "0", commit=False)
-    store.set_meta("storechase.stats", json.dumps(stats.as_dict()), commit=False)
+    # Counters and phases only: the per-round records stay in memory, so
+    # the snapshot's size does not grow with the collector's history.
+    store.set_meta(
+        "storechase.stats", json.dumps(stats.as_dict(rounds=False)), commit=False
+    )
     if commit:
         store.commit()
 
@@ -305,10 +391,11 @@ def _persist_state(
 def _maybe_kill(name: str, round_: int) -> None:
     """Fault hook: die without ceremony, as a crashed process would.
 
-    ``storechase.kill`` fires just before the round commit,
-    ``storechase.kill_midround`` during row inserts — both must leave a
-    database that resumes to the exact fixpoint (the chaos suite checks
-    digests and counters across the kill).
+    ``storechase.kill`` fires just before the round commit (and before
+    the commit of an update's deletion transaction, at the update's
+    epoch), ``storechase.kill_midround`` during row inserts — both must
+    leave a database that resumes to the exact fixpoint (the chaos suite
+    checks digests and counters across the kill).
     """
     if faults.active() and faults.fire(name, round_):
         os.kill(os.getpid(), signal.SIGKILL)
@@ -340,22 +427,28 @@ def _execute_round(
     round_number: int,
     control: "_RunControl | None",
     full: bool,
-) -> "tuple[int, int, int]":
+    delta: "set | None" = None,
+) -> "tuple[int, int, int, set]":
     """One store round's trigger matching and batched inserts.
 
-    Returns ``(matches, produced_rows, inserted)``.  Produced facts land
-    at round tag ``round_number``; every *genuinely new* row also records
-    its (child, parent) support edges — flushed alongside the fact
-    batches, inside the same per-round transaction — which is the
-    provenance :func:`update_store_chase` walks for DRed over-deletion.
-    Rows whose fact already exists are filtered out of the support batch
-    first (:func:`_filter_existing_supports`), so base facts never
-    acquire edges and never enter the deletion cascade.
+    Returns ``(matches, produced_rows, inserted, fresh)``, ``fresh`` the
+    predicates that gained rows (the next round's ``delta``).  Produced
+    facts land at round tag ``round_number``; every *genuinely new* row
+    also records its (child, parent) support edges — flushed alongside
+    the fact batches, inside the same per-round transaction — which is
+    the provenance :func:`update_store_chase` walks for DRed
+    over-deletion.  Rows whose fact already exists are filtered out of
+    the support batch first (:func:`_filter_existing_supports`), so base
+    facts never acquire edges and never enter the deletion cascade.
 
     ``full`` selects full-width evaluation (see :meth:`_StoreRule.sources`)
-    — the first chase round, or the re-derive round after a retraction —
-    over the standard semi-naive pivots.  Raises
-    :class:`~repro.chase.engine._RoundInterrupt` on deadline or
+    — the first chase round, or the legacy repair round after a
+    retraction — over the standard semi-naive pivots.  ``delta`` holds
+    the predicates with rows tagged ``round_number - 1`` (``None`` when
+    unknown): a semi-naive round skips every rule with no body predicate
+    in it (``plan.rules_skipped``), as the in-memory planner does;
+    universal rules, gated on new domain terms instead, always run.
+    Raises :class:`~repro.chase.engine._RoundInterrupt` on deadline or
     cancellation, leaving the partial round uncommitted.
     """
     batch_size = store.batch_size
@@ -367,13 +460,37 @@ def _execute_round(
     matches = 0
     produced_rows = 0
     inserted = 0
+    fresh: set = set()
     supports: "list[tuple[str, str]]" = []
+    counters = store.stats.counters
+
+    def flush(pending: dict) -> int:
+        _filter_existing_supports(store, supports)
+        new_rows = 0
+        for predicate, rows in pending.items():
+            added = store.insert_rows(predicate, rows, round_number)
+            if added:
+                fresh.add(predicate)
+                new_rows += added
+        pending.clear()
+        store.add_supports(supports)
+        supports.clear()
+        return new_rows
+
     for rule in prepared:
         if control is not None:
             reason = control.interruption()
             if reason is not None:
                 raise _RoundInterrupt(reason)
-        for source in rule.sources(store, last, full, domain):
+        if (
+            not full
+            and delta is not None
+            and not rule.universal
+            and not rule.body_predicates & delta
+        ):
+            counters["plan.rules_skipped"] += 1
+            continue
+        for source in rule.sources(store, last, full, domain, delta):
             pending: dict = {}
             pending_rows = 0
             for row in source:
@@ -390,24 +507,13 @@ def _execute_round(
                     child = fact_key(predicate, ids)
                     supports.extend((child, parent) for parent in parents)
                 if pending_rows >= batch_size:
-                    _filter_existing_supports(store, supports)
-                    for predicate, rows in pending.items():
-                        inserted += store.insert_rows(
-                            predicate, rows, round_number
-                        )
-                    pending.clear()
+                    inserted += flush(pending)
                     pending_rows = 0
-                    store.add_supports(supports)
-                    supports.clear()
                     _maybe_kill("storechase.kill_midround", round_number)
-            _filter_existing_supports(store, supports)
-            for predicate, rows in pending.items():
-                inserted += store.insert_rows(predicate, rows, round_number)
-            store.add_supports(supports)
-            supports.clear()
             if pending:
+                inserted += flush(pending)
                 _maybe_kill("storechase.kill_midround", round_number)
-    return matches, produced_rows, inserted
+    return matches, produced_rows, inserted, fresh
 
 
 def chase_into_store(
@@ -464,9 +570,9 @@ def chase_into_store(
         total = len(store)
         # A fresh connection starts with an empty collector; fold the
         # persisted snapshot back in so a suspended-and-resumed chase
-        # reports the same counters and per-round records as one
-        # uninterrupted run.  A same-connection resume already holds them
-        # live (chase.rounds > 0) and must not double-count.
+        # reports the same counters as one uninterrupted run (per-round
+        # records are not persisted).  A same-connection resume already
+        # holds them live (chase.rounds > 0) and must not double-count.
         if counters["chase.rounds"] == 0:
             persisted_stats = store.get_meta("storechase.stats")
             if persisted_stats:
@@ -500,7 +606,10 @@ def chase_into_store(
         store.commit()
         total = len(store)
 
-    prepared = [_StoreRule(rule, store) for rule in theory]
+    prepared = _store_rules(theory, store)
+    # The predicates the last round added to; unknown on entry, so a
+    # resumed first round evaluates every pivot.
+    delta = None
     control = _RunControl.start(budget, cancel)
     interrupted: "str | None" = None
 
@@ -515,8 +624,13 @@ def chase_into_store(
             round_started = time.perf_counter()
             terms_before = counters["store.terms_interned"]
             try:
-                matches, produced_rows, inserted = _execute_round(
-                    store, prepared, round_number, control, full=round_number == 1
+                matches, produced_rows, inserted, delta = _execute_round(
+                    store,
+                    prepared,
+                    round_number,
+                    control,
+                    full=round_number == 1,
+                    delta=delta,
                 )
             except _RoundInterrupt as stop:
                 # Abandon the round wholesale: rows inserted so far are
@@ -605,6 +719,49 @@ def _encode_existing(store: SQLiteStore, item) -> "tuple[int, ...] | None":
     return tuple(ids)
 
 
+def _rederive_cone(
+    store: SQLiteStore,
+    prepared: "list[_StoreRule]",
+    deleted: "set[str]",
+    epoch: int,
+) -> set:
+    """Bring back the cone facts with a derivation over the survivors.
+
+    The store counterpart of :func:`repro.incremental._rederive`: one
+    head-bound probe per (cone fact, rule head it matches) — the head
+    fixes the rule's frontier (:meth:`_StoreRule.bind_head`), and one
+    ``SELECT … LIMIT 1`` of the body with those columns bound searches
+    the survivors plus the new base.  Hits land at round tag ``epoch``
+    with their support edges, inside the caller's open transaction.
+    Probes run before any hit is inserted, so they see exactly the
+    survivors and the new base.  Returns the predicates of the hits.
+    """
+    heads: dict = {}
+    for rule in prepared:
+        for predicate, slots in rule.head_specs:
+            heads.setdefault(predicate, []).append((rule, slots))
+    counters = store.stats.counters
+    found: dict = {}
+    supports: "list[tuple[str, str]]" = []
+    for key in deleted:
+        predicate, ids = parse_fact_key(key)
+        for rule, slots in heads.get(predicate, ()):
+            binding = rule.bind_head(slots, ids, store)
+            if binding is None:
+                continue
+            counters["delta.rederive_probes"] += 1
+            row = rule.probe(store, binding)
+            if row is not None:
+                found.setdefault(predicate, []).append(ids)
+                supports.extend((key, parent) for parent in rule.parent_keys(row))
+                break
+    _filter_existing_supports(store, supports)
+    for predicate, rows in found.items():
+        store.insert_rows(predicate, rows, epoch)
+    store.add_supports(supports)
+    return set(found)
+
+
 def update_store_chase(
     store: SQLiteStore,
     theory: "Theory | None" = None,
@@ -616,27 +773,37 @@ def update_store_chase(
     """Maintain a terminated store chase under base adds and retractions.
 
     The DRed/delta counterpart of :func:`repro.incremental.incremental_update`
-    with the facts living only in SQLite:
+    with the facts living only in SQLite, doing work proportional to the
+    change rather than to the fixpoint:
 
     * **retractions** delete the retracted rows plus their transitive
       support cone (walked over ``repro_supports``; facts without
       support edges — round-0 facts, update-added facts, promoted facts
-      — are never cascaded into), then re-derive survivors with one
-      full-width round before returning to standard semi-naive pivots;
-    * **additions** insert the new facts at a fresh round tag and run
-      plain semi-naive rounds from there — by Observation 8 and Skolem
-      determinism this derives exactly the missing consequences.  An
-      added fact the chase had already derived is *promoted* to base
-      (its support edges are dropped so retractions elsewhere can no
-      longer cascade through it).
+      — are never cascaded into), then probe each cone fact
+      (:func:`_rederive_cone`): a head-bound ``SELECT … LIMIT 1`` of
+      each rule body whose head matches it, over the survivors plus the
+      new base.  The hits come back at the update's epoch round tag,
+      with the new base facts;
+    * **additions** insert the new facts at that epoch tag — by
+      Observation 8 and Skolem determinism semi-naive rounds from there
+      derive exactly the missing consequences.  An added fact the chase
+      had already derived is *promoted* to base (its support edges are
+      dropped so retractions elsewhere can no longer cascade through
+      it, this update's included).
 
-    The deletion phase, base inserts and updated ``storechase.*`` state
-    commit as one transaction; after a retraction a ``storechase.repair``
-    marker stays set until the full-width re-derive round lands, so a
-    crash mid-update is detected — :func:`resume_store_chase` refuses the
-    database and this function (with or without further changes)
-    finishes the repair.  The final content digest equals clearing the
-    store and re-chasing the updated base from scratch.
+    The deletion, the probe hits, the base changes and the updated
+    ``storechase.*`` state commit as one transaction; semi-naive rounds
+    seeded by the epoch's facts then follow, each committed like a
+    chase round, so a crash in them resumes with
+    :func:`resume_store_chase`.  With no seed no round runs.  The final
+    content digest equals clearing the store and re-chasing the updated
+    base from scratch.
+
+    A database whose ``storechase.repair`` marker was left set by an
+    older build (which committed the deletion before re-deriving) is
+    refused by :func:`resume_store_chase`; this function finishes it
+    with one full-width round over the survivors — the only update path
+    that evaluates rule bodies over the whole store.
 
     Raises :class:`StoreChaseError` for missing/unterminated/foreign
     chase state and pre-supports databases on retraction; ``ValueError``
@@ -669,7 +836,7 @@ def update_store_chase(
         raise StoreChaseError(
             "store chase is not at a fixpoint; resume_store_chase first"
         )
-    prepared = [_StoreRule(rule, store) for rule in theory]
+    prepared = _store_rules(theory, store)
 
     add = list(add)
     retract = list(retract)
@@ -706,13 +873,13 @@ def update_store_chase(
 
             _check_retraction_supported(theory)
         to_insert = [item for item in add if item not in store]
-        promoted_keys = []
+        promoted_keys = set()
         for item in add:
             ids = _encode_existing(store, item)
             if ids is not None and item in store:
                 key = fact_key(item.predicate, ids)
                 if store.has_support(key):
-                    promoted_keys.append(key)
+                    promoted_keys.add(key)
 
         if not removed_keys and not to_insert and not promoted_keys:
             if not repair_pending:
@@ -725,44 +892,57 @@ def update_store_chase(
             counters["delta.added_base"] += len(to_insert) + len(promoted_keys)
             counters["delta.retracted_base"] += len(removed_keys)
 
-        # ---- over-delete the retraction cone -------------------------
+        # ---- ONE transaction: cone deletion, base changes, probe hits
+        # and state (no membership test or len() below: both commit) --
         deleted: "set[str]" = set()
         if removed_keys:
             deleted = set(removed_keys)
             frontier = list(deleted)
             while frontier:
                 children = store.support_children(frontier)
-                frontier = [key for key in children if key not in deleted]
+                # Promoted facts are base from this update on: like the
+                # in-memory cone, the walk never enters them.
+                frontier = [
+                    key
+                    for key in children
+                    if key not in deleted and key not in promoted_keys
+                ]
                 deleted.update(frontier)
             store.delete_fact_rows(deleted)
             store.delete_supports_of(deleted)
             counters["delta.overdeleted"] += len(deleted) - len(removed_keys)
-
-        # ---- apply base changes + state in ONE transaction -----------
         if promoted_keys:
             store.delete_supports_of(promoted_keys)
         for item in to_insert:
             store.buffer(item, round_=epoch)
         store._flush_pending()
-        needs_repair = bool(removed_keys) or repair_pending
-        store.set_meta(
-            "storechase.repair", "1" if needs_repair else "0", commit=False
-        )
-        terminated = not needs_repair and not to_insert
+        # A legacy repair re-derives with its full-width round instead.
+        delta = {item.predicate for item in to_insert}
+        if deleted and not repair_pending:
+            delta |= _rederive_cone(store, prepared, deleted, epoch)
+        terminated = not repair_pending and not delta
+
+        def count_rederived() -> None:
+            # How much of the over-deleted cone came back: the probe hits
+            # plus cone members the seeded rounds derived again.  Counted
+            # before the final commit, so the persisted counters hold it.
+            if deleted:
+                counters["delta.rederived"] += len(
+                    store.existing_fact_keys(deleted)
+                )
+
+        if terminated:
+            count_rederived()
         _persist_state(store, epoch, terminated, stats, commit=False)
+        _maybe_kill("storechase.kill", epoch)
         store.commit()
         rounds_run = epoch
         total = len(store)
-        if terminated:
-            # Promotions / no-op repairs change no derived facts.
-            return StoreChaseResult(store, rounds_run, True, total, stats)
 
-        # ---- re-derive to a fresh fixpoint ---------------------------
+        # ---- semi-naive rounds seeded by the epoch's facts -----------
         control = _RunControl.start(budget, cancel)
         interrupted: "str | None" = None
-        first_round = True
-        terminated = False
-        for _ in range(budget.max_rounds):
+        for _ in range(0 if terminated else budget.max_rounds):
             if control is not None:
                 reason = control.interruption()
                 if reason is not None:
@@ -771,13 +951,14 @@ def update_store_chase(
             round_number = rounds_run + 1
             round_started = time.perf_counter()
             terms_before = counters["store.terms_interned"]
-            # After a retraction the closure is broken: one full-width
-            # pass over the survivors (including facts the update just
-            # added), then standard semi-naive pivots take over.
-            full_pass = first_round and needs_repair
             try:
-                matches, produced_rows, inserted = _execute_round(
-                    store, prepared, round_number, control, full=full_pass
+                matches, produced_rows, inserted, delta = _execute_round(
+                    store,
+                    prepared,
+                    round_number,
+                    control,
+                    full=repair_pending,
+                    delta=delta,
                 )
             except _RoundInterrupt as stop:
                 store.rollback()
@@ -789,7 +970,6 @@ def update_store_chase(
                 )
                 interrupted = stop.reason
                 break
-            first_round = False
             total += inserted
             dedup_hits = produced_rows - inserted
             counters["chase.rounds"] += 1
@@ -801,6 +981,7 @@ def update_store_chase(
                 rounds_run = round_number
             else:
                 terminated = True
+                count_rederived()
             stats.record_round(
                 round=round_number,
                 matches=matches,
@@ -810,10 +991,11 @@ def update_store_chase(
                 total_atoms=total,
                 seconds=round(time.perf_counter() - round_started, 6),
             )
-            if full_pass:
-                # The closure is whole again from here on; a crash in a
-                # later round resumes like any suspended chase.
+            if repair_pending:
+                # The legacy closure is whole again from here on; a crash
+                # in a later round resumes like any suspended chase.
                 store.set_meta("storechase.repair", "0", commit=False)
+                repair_pending = False
             _persist_state(store, rounds_run, terminated, stats, commit=False)
             _maybe_kill("storechase.kill", round_number)
             store.commit()
@@ -828,29 +1010,6 @@ def update_store_chase(
                 break
         if interrupted is not None:
             note_interruption(stats, interrupted, budget, rounds_run)
-        if deleted and terminated:
-            # How much of the over-deleted cone came back: cone members
-            # with an alternative derivation untouched by the retraction.
-            rederived = 0
-            for key in deleted:
-                predicate, ids = parse_fact_key(key)
-                table = store._tables.get(predicate)
-                if table is None:
-                    continue
-                if predicate.arity == 0:
-                    hit = store._select(
-                        f"SELECT 1 FROM {table} LIMIT 1"
-                    ).fetchone()
-                else:
-                    where = " AND ".join(
-                        f"a{i} = ?" for i in range(predicate.arity)
-                    )
-                    hit = store._select(
-                        f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", ids
-                    ).fetchone()
-                if hit:
-                    rederived += 1
-            counters["delta.rederived"] += rederived
 
     return StoreChaseResult(
         store=store,

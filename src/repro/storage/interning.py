@@ -21,9 +21,9 @@ Python terms.  Because both backends intern through this one module,
 equal facts produce equal digests regardless of backend.
 
 :class:`TermInterningMixin` implements the shared surface
-(``intern_term``/``intern_function``/``term_id``/``term_by_id``/
-``display_of``) over three storage primitives a concrete store
-provides:
+(``intern_term``/``intern_function``/``function_parts``/``term_id``/
+``term_by_id``/``display_of``) over three storage primitives a
+concrete store provides:
 
 ``_dict_lookup(kind, payload)``
     the id of an existing entry, or ``None``;
@@ -57,6 +57,8 @@ class TermInterningMixin:
         # (functor, child_ids) -> id, so the id-native hot path skips the
         # json payload encoding on every re-derivation of a Skolem term.
         self._ids_by_function: dict[tuple, int] = {}
+        # id -> (functor, child_ids), or None for a non-function term.
+        self._parts_by_id: dict[int, "tuple[str, tuple[int, ...]] | None"] = {}
 
     # Concrete stores override when their caches must stay bounded.
     def _trim_term_cache(self, cache: dict) -> None:
@@ -127,6 +129,26 @@ class TermInterningMixin:
         self._trim_term_cache(self._ids_by_function)
         self._ids_by_function[key] = cached
         return cached
+
+    def function_parts(self, term_id: int) -> "tuple[str, tuple[int, ...]] | None":
+        """``(functor, child_ids)`` of a function term id, else ``None``.
+
+        The inverse of :meth:`intern_function`, read from the payload
+        without decoding the children: the store chase's re-derive
+        probes match a Skolem head slot against a stored id this way.
+        """
+        if term_id in self._parts_by_id:
+            return self._parts_by_id[term_id]
+        row = self._dict_fetch(term_id)
+        if row is None:
+            raise KeyError(f"no term with id {term_id}")
+        parts = None
+        if row[0] == "f":
+            functor, child_ids = json.loads(row[1])
+            parts = (functor, tuple(child_ids))
+        self._trim_term_cache(self._parts_by_id)
+        self._parts_by_id[term_id] = parts
+        return parts
 
     def term_id(self, term: Term) -> "int | None":
         """The id of ``term`` if already interned, else ``None``.

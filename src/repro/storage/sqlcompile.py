@@ -60,6 +60,7 @@ def build_select(
     round_bounds: "Sequence[RoundBound] | None" = None,
     limit_one: bool = False,
     distinct: bool = True,
+    bound: "dict[Variable, int] | None" = None,
 ) -> CompiledSelect | None:
     """Compile a conjunction of atoms into a SELECT over the store.
 
@@ -67,9 +68,11 @@ def build_select(
     store (a predicate with no fact table, or a ground term never
     interned).  ``select_vars`` orders the projection; with none and
     ``limit_one`` the statement is an existence probe (``SELECT 1 ...
-    LIMIT 1``).  ``distinct=False`` drops the DISTINCT (the chase wants
-    raw sigma rows, which already biject with homomorphisms when every
-    body variable is projected).
+    LIMIT 1``), with some it fetches at most one row.  ``distinct=False``
+    drops the DISTINCT (the chase wants raw sigma rows, which already
+    biject with homomorphisms when every body variable is projected).
+    ``bound`` pins variables to term ids (the store chase's head-bound
+    re-derive probes).
     """
     froms: list[str] = []
     where: list[str] = []
@@ -84,11 +87,14 @@ def build_select(
         for position, term in enumerate(item.args):
             column = f"{alias}.a{position}"
             if isinstance(term, Variable):
-                bound = first_seen.get(term)
-                if bound is None:
+                seen = first_seen.get(term)
+                if seen is None:
                     first_seen[term] = column
-                elif bound != column:
-                    where.append(f"{column} = {bound}")
+                    if bound is not None and term in bound:
+                        where.append(f"{column} = ?")
+                        params.append(bound[term])
+                elif seen != column:
+                    where.append(f"{column} = {seen}")
                 continue
             if not term.is_ground():
                 raise ValueError(
@@ -118,8 +124,8 @@ def build_select(
         sql = f"{keyword} {', '.join(columns)} FROM {from_sql}{where_sql}"
     else:
         sql = f"SELECT 1 FROM {from_sql}{where_sql}"
-        if limit_one:
-            sql += " LIMIT 1"
+    if limit_one:
+        sql += " LIMIT 1"
     return CompiledSelect(sql=sql, params=tuple(params), arity=len(columns))
 
 

@@ -67,6 +67,7 @@ import random
 import re
 import sqlite3
 import time
+import weakref
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -188,6 +189,9 @@ class SQLiteStore(TermInterningMixin):
         self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         self._tables: dict[Predicate, str] = {}
         self._init_term_caches()
+        # Store-chase rules compiled against this store's term ids, per
+        # theory (see repro.storage.chasestore); a rollback drops them.
+        self.compiled_rules: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._pending: dict[Predicate, list[tuple]] = {}
         self._pending_rows = 0
         for name, arity, table in self._conn.execute(
@@ -247,9 +251,10 @@ class SQLiteStore(TermInterningMixin):
 
         SQLite rolls back rows *and* in-transaction DDL, so everything
         the Python layer learned during the transaction is suspect: the
-        write buffer is dropped, the interning caches are reset (they
-        may hold ids of dictionary rows that no longer exist) and the
-        predicate-table catalog is rebuilt from ``repro_predicates``.
+        write buffer is dropped, the interning caches and the compiled
+        store-chase rules are reset (they may hold ids of dictionary rows
+        that no longer exist) and the predicate-table catalog is rebuilt
+        from ``repro_predicates``.
         The store chase calls this when a deadline or cancellation
         abandons a round mid-insert — the database then holds exactly
         the last committed round.
@@ -258,6 +263,7 @@ class SQLiteStore(TermInterningMixin):
         self._pending_rows = 0
         self.connection.rollback()
         self._init_term_caches()
+        self.compiled_rules = weakref.WeakKeyDictionary()
         self.reload_catalog()
 
     def reload_catalog(self) -> None:

@@ -82,10 +82,11 @@ delta.rederive_probes / delta.rounds``
     no-ops, base facts added and retracted, atoms over-deleted beyond
     the retraction itself (the DRed cone), cone members re-derived from
     surviving facts, head-bound re-derive probes run over the cone (one
-    body search per cone atom and rule head it matches; in-memory
-    only), and chase rounds executed (in memory the semi-naive rounds
-    seeded by added facts and probe hits, none when there is no seed;
-    the store path also counts its full-width re-derive round);
+    body search per cone atom and rule head it matches; in memory a
+    homomorphism search, in the store one ``SELECT … LIMIT 1``), and
+    chase rounds executed (the semi-naive rounds seeded by added facts
+    and probe hits, none when there is no seed; in the store also the
+    one full-width round that finishes a legacy ``storechase.repair``);
 ``store.writes / store.batches / store.sql_queries / store.rows_scanned /
 store.terms_interned``
     the storage subsystem (``repro.storage``): facts submitted to a
@@ -201,14 +202,18 @@ class Telemetry:
             self.phases[name] = self.phases.get(name, 0.0) + seconds
         self.rounds.extend(dict(entry) for entry in other.rounds)
 
-    def as_dict(self) -> dict[str, Any]:
-        """A JSON-ready snapshot (sorted counters, rounded timings)."""
+    def as_dict(self, rounds: bool = True) -> dict[str, Any]:
+        """A JSON-ready snapshot (sorted counters, rounded timings).
+
+        ``rounds=False`` leaves the per-round records out (an empty
+        list), so the snapshot's size does not grow with the history.
+        """
         return {
             "counters": {name: self.counters[name] for name in sorted(self.counters)},
             "phases": {
                 name: round(seconds, 6) for name, seconds in sorted(self.phases.items())
             },
-            "rounds": [dict(entry) for entry in self.rounds],
+            "rounds": [dict(entry) for entry in self.rounds] if rounds else [],
         }
 
     @classmethod
@@ -216,10 +221,11 @@ class Telemetry:
         """Rebuild a collector from an :meth:`as_dict` snapshot.
 
         The store-backed chase (:mod:`repro.storage.chasestore`)
-        persists a run's stats and restores them here, so a chase
-        resumed from another connection continues its counters and
-        per-round records exactly as one uninterrupted run.  Validates the input
-        via :func:`validate_stats_dict` first.
+        persists a run's counters and phases (``as_dict(rounds=False)``,
+        a snapshot of bounded size) and restores them here, so a chase
+        resumed from another connection continues its counters exactly
+        as one uninterrupted run; per-round records are not persisted.
+        Validates the input via :func:`validate_stats_dict` first.
         """
         validate_stats_dict(stats)
         restored = cls()

@@ -33,9 +33,14 @@ from repro.chase import (
     chase,
     resume,
 )
-from repro.logic import parse_instance, parse_theory
+from repro.logic import Instance, parse_instance, parse_theory
 from repro.cli import main
-from repro.storage import SQLiteStore, chase_into_store, resume_store_chase
+from repro.storage import (
+    SQLiteStore,
+    chase_into_store,
+    resume_store_chase,
+    update_store_chase,
+)
 from repro.storage.base import content_digest
 from repro.workloads import green_path, t_d
 from repro.telemetry import Telemetry
@@ -381,6 +386,92 @@ class TestStoreChaseCrashTd(TestStoreChaseCrash):
 
     def workload(self):
         return t_d(), green_path(3)
+
+
+class TestStoreUpdateCrash:
+    """SIGKILL a retracting ``update_store_chase`` (docs/robustness.md).
+
+    The deletion, the re-derive probe hits, the new base and the chase
+    state commit as one transaction at the update's epoch; the seeded
+    semi-naive rounds follow, each committed like a chase round.
+    """
+
+    # The bypass a1 -> x -> a3 gives R(a1, a3) a derivation without
+    # E(a1, a2), so its probe hits and semi-naive rounds follow.
+    BASE = "E(a0, a1). E(a1, a2). E(a2, a3). E(a3, a4). E(a1, x). E(x, a3)."
+    RETRACT = "E(a1, a2)."
+
+    def setup_method(self):
+        faults.clear()
+
+    def teardown_method(self):
+        faults.clear()
+
+    def _chased_db(self, db_path):
+        with SQLiteStore(db_path) as store:
+            chase_into_store(terminating_theory(), parse_instance(self.BASE), store)
+            return int(store.get_meta("storechase.rounds")), store.digest()
+
+    def _kill_update(self, fault, db_path):
+        rules = "\n".join(repr(rule) for rule in terminating_theory())
+        script = (
+            "import os, sys\n"
+            f"os.environ['REPRO_FAULTS'] = {fault!r}\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from repro.storage import SQLiteStore, update_store_chase\n"
+            "from repro.logic import parse_instance, parse_theory\n"
+            f"store = SQLiteStore({str(db_path)!r})\n"
+            f"update_store_chase(store, parse_theory({rules!r}), "
+            f"retract=list(parse_instance({self.RETRACT!r})))\n"
+            "raise SystemExit('fault did not fire')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+
+    def _scratch_digest(self):
+        base = set(parse_instance(self.BASE)) - set(parse_instance(self.RETRACT))
+        run = chase(terminating_theory(), Instance(sorted(base, key=repr)))
+        assert run.terminated
+        return content_digest(run.instance)
+
+    def test_sigkill_at_the_deletion_commit_leaves_the_store_untouched(
+        self, tmp_path
+    ):
+        db = tmp_path / "update.db"
+        rounds, before = self._chased_db(db)
+        self._kill_update(f"storechase.kill@{rounds + 1}", db)
+        with SQLiteStore(db) as store:
+            assert store.digest() == before
+            assert int(store.get_meta("storechase.rounds")) == rounds
+            assert store.get_meta("storechase.terminated") == "1"
+            assert store.get_meta("storechase.repair") is None
+            # The update simply runs again.
+            update_store_chase(
+                store, terminating_theory(),
+                retract=list(parse_instance(self.RETRACT)),
+            )
+            assert store.digest() == self._scratch_digest()
+
+    @pytest.mark.parametrize("after_epoch", [1, 2])
+    def test_sigkill_at_a_later_round_resumes_to_scratch(
+        self, tmp_path, after_epoch
+    ):
+        db = tmp_path / "update.db"
+        rounds, _ = self._chased_db(db)
+        epoch = rounds + 1
+        self._kill_update(f"storechase.kill@{epoch + after_epoch}", db)
+        with SQLiteStore(db) as store:
+            # The epoch's transaction and every round before the killed
+            # one landed (the first seeded round is productive).
+            assert int(store.get_meta("storechase.rounds")) == (
+                epoch + after_epoch - 1
+            )
+            assert store.get_meta("storechase.terminated") == "0"
+            resumed = resume_store_chase(store, terminating_theory())
+            assert resumed.terminated
+            assert resumed.digest() == self._scratch_digest()
 
 
 class TestCorruptDatabase:

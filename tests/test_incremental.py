@@ -320,6 +320,13 @@ scripts = st.lists(
     min_size=1,
     max_size=4,
 )
+TAGGED = parse_theory(
+    "E(x, y) -> T(x, y)\n"
+    "T(x, y), E(y, z) -> T(x, z)\n"
+    "T(x, y) -> exists w. Tag(y, w)\n"
+    "Tag(y, w), E(y, z) -> Seen(z)",
+    name="tagged",
+)
 # A small domain, so self-loops and shared endpoints are common.
 small = st.integers(min_value=0, max_value=3).map(lambda i: Constant(f"c{i}"))
 loop_edges = st.tuples(small, small).map(lambda pair: Atom(E, pair))
@@ -378,17 +385,36 @@ class TestPropertyEquivalence:
             current = (current - retract) | add
             check_maintained(result, current)
 
-    @settings(max_examples=10, deadline=None)
-    @given(base=bases, script=scripts)
-    def test_store_updates_match_scratch(self, base, script):
+    @staticmethod
+    def _check_store_updates(theory, base, script):
+        """After every step: store digest == scratch == incremental_update."""
+        result = chase(theory, Instance(base), budget=BUDGET)
         with SQLiteStore(":memory:") as store:
-            chase_into_store(TC, Instance(base), store, budget=BUDGET)
+            chase_into_store(theory, Instance(base), store, budget=BUDGET)
             current = set(base)
             for op, facts in script:
                 add, retract = _step(op, facts, current)
-                update_store_chase(store, TC, add=add, retract=retract, budget=BUDGET)
+                update_store_chase(
+                    store, theory, add=add, retract=retract, budget=BUDGET
+                )
+                result = incremental_update(
+                    result, add=add, retract=retract, budget=BUDGET
+                ).result
                 current = (current - set(retract)) | set(add)
-                assert store.digest() == scratch_digest(TC, current)
+                assert store.digest() == scratch_digest(theory, current)
+                assert store.digest() == content_digest(result.instance)
+
+    @settings(max_examples=10, deadline=None)
+    @given(base=bases, script=scripts)
+    def test_store_updates_match_scratch(self, base, script):
+        self._check_store_updates(TC, base, script)
+
+    @settings(max_examples=10, deadline=None)
+    @given(base=bases, script=scripts)
+    def test_skolem_store_updates_match_scratch(self, base, script):
+        # A Skolem head probed through its term's children, and a
+        # two-atom body joining a Skolem fact with a base edge.
+        self._check_store_updates(TAGGED, base, script)
 
 
 # ----------------------------------------------------------------------
@@ -492,6 +518,20 @@ class TestStoreUpdates:
                 TC, {fact("E(b, c)."), fact("E(a, c).")}
             )
 
+    def test_promoted_fact_survives_retraction_in_the_same_update(self):
+        # The cone walk must not enter a fact this very update promotes.
+        base = parse_instance("E(a, b). E(b, c).")
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(TC, base, store, budget=BUDGET)
+            update_store_chase(
+                store, TC, add=[fact("E(a, c).")], retract=[fact("E(a, b).")],
+                budget=BUDGET,
+            )
+            assert fact("E(a, c).") in store
+            assert store.digest() == scratch_digest(
+                TC, {fact("E(b, c)."), fact("E(a, c).")}
+            )
+
     def test_refuses_pre_supports_databases(self):
         with SQLiteStore(":memory:") as store:
             chase_into_store(TC, parse_instance("E(a, b)."), store, budget=BUDGET)
@@ -536,4 +576,20 @@ class TestStoreUpdates:
             assert counters["delta.updates"] == 1
             assert counters["delta.retracted_base"] == 1
             assert counters["delta.overdeleted"] >= 1
+            # Nothing in the cone has another derivation: the probes all
+            # miss, so no seed and no round, as in memory.
+            assert counters["delta.rederive_probes"] >= 1
+            assert counters["delta.rounds"] == 0
+
+    def test_probe_hit_seeds_semi_naive_rounds(self):
+        # E(a, c) keeps the alternative path a -> x -> c: its probe hits,
+        # and the hit seeds the semi-naive rounds.
+        base = parse_instance("E(a, b). E(b, c). E(c, d). E(a, x). E(x, c).")
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(TC, base, store, budget=BUDGET)
+            update_store_chase(store, TC, retract=[fact("E(a, b).")], budget=BUDGET)
+            counters = store.stats.counters
+            assert counters["delta.rederived"] >= 1
             assert counters["delta.rounds"] >= 1
+            assert fact("E(a, c).") in store
+            assert store.digest() == scratch_digest(TC, set(base) - {fact("E(a, b).")})

@@ -22,6 +22,7 @@ from repro.service import (
     ServiceError,
     answers_digest,
 )
+from repro.telemetry import Telemetry
 
 UNIVERSITY = (
     "EnrolledIn(s, c) -> Student(s)\n"
@@ -318,6 +319,44 @@ class TestEndToEnd:
             info = await client.theory_info(tid)
             assert info["classes"]["known_bdd_by_syntax"] is True
             await client.close()
+
+        run(_with_service(body))
+
+    def test_metrics_sum_counters_like_a_merged_collector(self):
+        """/metrics keys and values equal merging every collector whole."""
+
+        async def body(service):
+            client = await ServiceClient(service.host, service.port).connect()
+            for _ in range(2):
+                tid = (
+                    await client.register_theory(
+                        parse_theory(UNIVERSITY, name="uni")
+                    )
+                )["id"]
+                await client.upload_facts(tid, parse_instance(SEED))
+                await client.append_facts(tid, parse_instance("TaughtBy(cs3, knuth)"))
+                await client.retract_facts(tid, parse_instance("TaughtBy(cs2, hopper)"))
+                await client.query(tid, parse_query("q(p) := Person(p)"), "sqlite")
+            metrics = await client.metrics()
+            await client.close()
+            reference = Telemetry()
+            reference.merge(service.app.stats)
+            for entry in service.registry.entries():
+                assert entry.session.stats.rounds  # history the merge copies
+                reference.merge(entry.session.stats)
+            expected = {
+                name: reference.counters[name] for name in sorted(reference.counters)
+            }
+            # The metrics response itself was counted after its document
+            # was built.
+            expected["service.responses_2xx"] -= 1
+            assert metrics["process"] == expected
+            assert list(metrics["process"]) == sorted(expected)
+            for entry in service.registry.entries():
+                counters = entry.session.stats.counters
+                assert metrics["theories"][entry.id]["counters"] == {
+                    name: counters[name] for name in sorted(counters)
+                }
 
         run(_with_service(body))
 

@@ -16,8 +16,10 @@ cost, see ``docs/performance.md``).
 
 Semantics are the object engine's, exactly:
 
-* the planner's static join orders (:class:`~repro.chase.planner.
-  RulePlan`) are consumed unchanged — base order for full evaluation,
+* each rule runs its :class:`~repro.chase.planner.RuleProgram`, lowered
+  once per ``Theory`` and shared with the store chase; the executor only
+  binds the program's constants to its mirror's ids.  The planner's
+  static join orders are consumed unchanged — base order for full evaluation,
   one pivot order per delta-restricted search, with the same
   relevance/pivot pruning and the same ``plan.*`` counter accounting;
 * each pivot search restricts exactly one body atom to the round's
@@ -55,7 +57,7 @@ from ..logic.homomorphism import (
 from ..logic.instance import Instance
 from ..logic.query import ConjunctiveQuery, UnionOfCQs
 from ..logic.signature import Predicate
-from ..logic.terms import FunctionTerm, Term, Variable
+from ..logic.terms import Term, Variable
 from ..storage.columnar import ColumnarStore
 from ..telemetry import Telemetry
 from .engine import (
@@ -65,100 +67,9 @@ from .engine import (
     _RoundInterrupt,
     universal_matches,
 )
-from .planner import CONTROL_CHECK_STRIDE
+from .planner import CONTROL_CHECK_STRIDE, RuleProgram
 
 _EMPTY: tuple = ()
-
-
-class _CompiledRule:
-    """One rule lowered to id-native slot programs.
-
-    ``patterns[i]`` is ``(predicate, slots)`` with each slot a
-    ``(is_var, value)`` pair — ``value`` a binding index for variables,
-    an interned term id for constants.  ``universal`` holds the binding
-    indexes of the universal head variables (after the body's), filled
-    per round from the domain pool.  ``heads`` carry ``("v", idx)``,
-    ``("c", id)`` and ``("f", functor, child_slots)`` entries; the
-    latter intern Skolem terms from child ids without building
-    ``FunctionTerm`` objects.  Join orders are the planner's, with
-    identity/pivot-first fallbacks where the plan has none (``planned``
-    flags keep the ``plan.plans_reused`` accounting faithful).
-    """
-
-    __slots__ = (
-        "rule",
-        "var_count",
-        "universal",
-        "patterns",
-        "base_order",
-        "base_planned",
-        "pivot_orders",
-        "pivot_planned",
-        "heads",
-        "sigma_order",
-    )
-
-
-def _compile_rule(prepared: _PreparedRule, store: ColumnarStore) -> _CompiledRule:
-    """Lower a prepared rule for the kernel.
-
-    Bodies hold variables and ground terms only (the pattern compiler
-    rejects anything else); heads after skolemization hold body or
-    universal variables, ground terms and Skolem terms over the frontier.
-    """
-    rule = prepared.skolemized.rule
-    plan = prepared.plan
-    var_index: dict[Variable, int] = {}
-
-    def slot(term: Term) -> tuple:
-        if isinstance(term, Variable):
-            return (True, var_index.setdefault(term, len(var_index)))
-        return (False, store.intern_term(term))
-
-    patterns = tuple(
-        (item.predicate, tuple(slot(term) for term in item.args))
-        for item in rule.body
-    )
-    universal = tuple(slot(var)[1] for var in plan.universal)
-    heads = []
-    for item in prepared.skolemized.head:
-        head_slots = []
-        for term in item.args:
-            if isinstance(term, FunctionTerm) and not term.is_ground():
-                head_slots.append(
-                    ("f", term.functor, tuple(slot(child) for child in term.args))
-                )
-            else:
-                is_var, value = slot(term)
-                head_slots.append(("v" if is_var else "c", value))
-        heads.append((item.predicate, tuple(head_slots)))
-    count = len(patterns)
-    join = plan.join
-    compiled = _CompiledRule()
-    compiled.rule = rule
-    compiled.var_count = len(var_index)
-    compiled.universal = universal
-    compiled.patterns = patterns
-    compiled.base_order = (
-        join.base_order if join.base_order is not None else tuple(range(count))
-    )
-    compiled.base_planned = join.base_order is not None
-    pivot_orders = []
-    pivot_planned = []
-    for pivot in range(count):
-        order = join.pivot_orders[pivot]
-        if order is None:
-            order = (pivot,) + tuple(i for i in range(count) if i != pivot)
-        pivot_orders.append(order)
-        pivot_planned.append(join.pivot_orders[pivot] is not None)
-    compiled.pivot_orders = tuple(pivot_orders)
-    compiled.pivot_planned = tuple(pivot_planned)
-    compiled.heads = tuple(heads)
-    compiled.sigma_order = tuple(
-        (var, index)
-        for var, index in sorted(var_index.items(), key=lambda kv: kv[0].name)
-    )
-    return compiled
 
 
 def _join(
@@ -314,7 +225,10 @@ class ColumnarRoundExecutor:
         self.prepared = prepared
         self.telemetry = telemetry
         self.store = store
-        self.compiled = tuple(_compile_rule(rule, store) for rule in prepared)
+        # The shared lowerings, constants bound to this mirror's ids.
+        self.programs = tuple(
+            rule.program.bind(store.intern_term) for rule in prepared
+        )
         # Rows produced last round, keyed by atom, awaiting the engine's
         # decision (applied atoms arrive back through ``sync``).
         self._pending: dict[Atom, tuple[Predicate, tuple]] = {}
@@ -368,7 +282,7 @@ class ColumnarRoundExecutor:
         # The round's domain pool as ids, in the pool's order (and its
         # delta/old split), built once for all universal rules.
         pool = split = None
-        for prepared, compiled in zip(self.prepared, self.compiled):
+        for prepared, program in zip(self.prepared, self.programs):
             if control is not None:
                 reason = control.interruption()
                 if reason is not None:
@@ -381,11 +295,11 @@ class ColumnarRoundExecutor:
                 counters["plan.nodes_saved"] += plan.search_count
                 continue
             columnar_rules += 1
-            patterns = compiled.patterns
+            patterns = program.patterns
             if delta is None:
-                if compiled.base_planned:
+                if program.base_planned:
                     counters["plan.plans_reused"] += 1
-                searches = ((compiled.base_order, None),)
+                searches = ((program.base_order, None),)
             else:
                 chosen = []
                 for index in range(len(patterns)):
@@ -393,17 +307,17 @@ class ColumnarRoundExecutor:
                         counters["plan.pivots_skipped"] += 1
                         counters["plan.nodes_saved"] += 1
                         continue
-                    if compiled.pivot_planned[index]:
+                    if program.pivot_planned[index]:
                         counters["plan.plans_reused"] += 1
-                    chosen.append((compiled.pivot_orders[index], index))
+                    chosen.append((program.pivot_orders[index], index))
                 searches = tuple(chosen)
-            binding: list = [None] * compiled.var_count
-            heads = compiled.heads
+            binding: list = [None] * len(program.variables)
+            heads = program.heads
             sources: Iterable = (
                 _join(relations, patterns, order, pivot, delta_rows, binding, effort)
                 for order, pivot in searches
             )
-            if compiled.universal:
+            if program.universal:
                 if pool is None:
                     term_id = store.term_id
                     pool = [term_id(term) for term in domain_pool]
@@ -414,7 +328,7 @@ class ColumnarRoundExecutor:
                         )
                 sources = (
                     self._with_universal(
-                        compiled,
+                        program,
                         itertools.chain.from_iterable(sources),
                         binding,
                         pool,
@@ -429,6 +343,7 @@ class ColumnarRoundExecutor:
                         reason = control.interruption()
                         if reason is not None:
                             raise _RoundInterrupt(reason)
+                    # RuleProgram.head_rows, inlined: the per-match hot loop.
                     for head_predicate, head_slots in heads:
                         out = []
                         for slot in head_slots:
@@ -440,11 +355,7 @@ class ColumnarRoundExecutor:
                             else:
                                 out.append(
                                     intern_function(
-                                        slot[1],
-                                        tuple(
-                                            bound[value] if is_var else value
-                                            for is_var, value in slot[2]
-                                        ),
+                                        slot[1], tuple(bound[i] for i in slot[2])
                                     )
                                 )
                         row = tuple(out)
@@ -463,10 +374,10 @@ class ColumnarRoundExecutor:
                             tuple(term_by_id(t) for t in row),
                         )
                         produced[new_atom] = Derivation(
-                            compiled.rule,
+                            prepared.skolemized.rule,
                             tuple(
                                 (var, term_by_id(bound[index]))
-                                for var, index in compiled.sigma_order
+                                for var, index in program.sigma_order
                             ),
                         )
                         rows.add(row)
@@ -483,7 +394,7 @@ class ColumnarRoundExecutor:
 
     def _with_universal(
         self,
-        compiled: _CompiledRule,
+        program: RuleProgram,
         bindings: Iterable,
         binding: list,
         pool: list,
@@ -496,23 +407,23 @@ class ColumnarRoundExecutor:
         counters = self.telemetry.counters
 
         def all_bindings() -> Iterator[list]:
-            if compiled.base_planned:
+            if program.base_planned:
                 counters["plan.plans_reused"] += 1
             return _join(
                 self.store._relations,
-                compiled.patterns,
-                compiled.base_order,
+                program.patterns,
+                program.base_order,
                 None,
                 None,
                 binding,
                 effort,
             )
 
-        slots = compiled.universal
+        slots = program.universal
         for bound, values in universal_matches(
             len(slots),
             bindings,
-            all_bindings if compiled.patterns else lambda: (binding,),
+            all_bindings if program.patterns else lambda: (binding,),
             pool,
             split,
         ):

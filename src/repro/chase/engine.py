@@ -41,7 +41,7 @@ from ..logic.instance import Instance
 from ..logic.terms import Term, Variable
 from ..logic.tgd import TGD, Theory
 from ..telemetry import Telemetry
-from .planner import RulePlan, plan_rule
+from .planner import RulePlan, RuleProgram, lower_rule, plan_rule
 from .skolem import SkolemizedRule, skolemize
 
 
@@ -265,13 +265,15 @@ class _PreparedRule:
     """A skolemized rule with loop-invariant match structures precompiled.
 
     ``plan`` (see :mod:`repro.chase.planner`) carries the static join
-    orders, body-predicate set and universal-variable order computed once
-    per chase and consulted every round.
+    orders, body-predicate set and universal-variable order consulted
+    every round; ``program`` is the id-slot lowering the columnar kernel
+    and the store chase run, after binding its constants to their store.
     """
 
     skolemized: SkolemizedRule
     body_patterns: tuple
     plan: RulePlan
+    program: RuleProgram
 
 
 _PREPARED_CACHE: "weakref.WeakKeyDictionary[Theory, tuple[_PreparedRule, ...]]" = (
@@ -280,13 +282,13 @@ _PREPARED_CACHE: "weakref.WeakKeyDictionary[Theory, tuple[_PreparedRule, ...]]" 
 
 
 def _prepare_rules(theory: Theory) -> tuple[_PreparedRule, ...]:
-    """Skolemize and plan every rule, cached per (identity of) theory.
+    """Skolemize, plan and lower every rule, cached per (identity of) theory.
 
     Locality and support searches chase the same theory over hundreds of
-    sub-instances; skolemization and join planning are deterministic per
-    rule, so the prepared tuple is shared (it is immutable and read-only
-    in the round loop).  The weak keying keeps throwaway theories
-    collectable.
+    sub-instances; skolemization, join planning and the id-slot lowering
+    are deterministic per rule, so the prepared tuple is shared by every
+    engine and run (it is immutable and read-only in the round loop).
+    The weak keying keeps throwaway theories collectable.
     """
     cached = _PREPARED_CACHE.get(theory)
     if cached is not None:
@@ -295,11 +297,13 @@ def _prepare_rules(theory: Theory) -> tuple[_PreparedRule, ...]:
     for rule in theory:
         skolemized = skolemize(rule)
         body_patterns = compile_query_patterns(rule.body)
+        plan = plan_rule(rule, body_patterns)
         prepared.append(
             _PreparedRule(
                 skolemized=skolemized,
                 body_patterns=body_patterns,
-                plan=plan_rule(rule, body_patterns),
+                plan=plan,
+                program=lower_rule(skolemized, plan),
             )
         )
     result = tuple(prepared)

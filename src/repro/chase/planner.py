@@ -10,7 +10,7 @@ per rule:
   probes per node, quadratic along a match-tree path.  Rule bodies do not
   change between rounds, so the planner precomputes one
   variable-connectivity order per rule (and one per semi-naive pivot,
-  starting from the delta-pinned atom) once per chase.  The shapes the
+  starting from the delta-pinned atom) once per theory.  The shapes the
   rewritability literature leans on — guarded, sticky, loop-restricted
   bodies — are exactly the ones where such a static order is as good as
   the dynamic choice; orders that would expand an *unbound prefix* are
@@ -38,7 +38,8 @@ determinism, the chase result atom-for-atom — is unchanged.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 # How many work items (matches in the sequential/columnar executors,
 # inserted rows in the store chase) an inner loop processes between
@@ -52,13 +53,14 @@ CONTROL_CHECK_STRIDE = 256
 
 from ..logic.homomorphism import JoinPlan, plan_join
 from ..logic.signature import Predicate
-from ..logic.terms import Term, Variable
+from ..logic.terms import FunctionTerm, Term, Variable
 from ..logic.tgd import TGD
+from .skolem import SkolemizedRule
 
 
 @dataclass(frozen=True)
 class RulePlan:
-    """Loop-invariant match structure for one rule, built once per chase.
+    """Loop-invariant match structure for one rule, built once per theory.
 
     ``join`` carries the precomputed atom orders handed to the
     homomorphism search; ``body_predicates`` feeds the relevance check;
@@ -100,4 +102,124 @@ def plan_rule(rule: TGD, body_patterns: tuple) -> RulePlan:
         body_predicates=frozenset(item.predicate for item in rule.body),
         universal=tuple(sorted(rule.universal_head_variables(), key=lambda v: v.name)),
         has_body=bool(rule.body),
+    )
+
+
+@dataclass(frozen=True)
+class RuleProgram:
+    """One rule lowered to id slots, run by the columnar kernel and the
+    store chase; built once per ``Theory`` and holding no store state.
+
+    ``variables`` numbers the rule's variables: the body's in
+    first-occurrence order, then ``plan.universal``.  ``patterns[i]`` is
+    ``(predicate, slots)`` with each slot an ``(is_var, value)`` pair;
+    ``universal`` holds the universal variables' indexes; ``heads`` carry
+    ``("v", index)``, ``("c", value)`` and ``("f", functor, indexes)``
+    slots, the last interning a Skolem term over its frontier's ids.  A
+    constant's ``value`` is the term itself until :meth:`bind` replaces
+    it with a store's id.  Join orders are the planner's, with
+    identity/pivot-first fallbacks where the plan has none (``*_planned``
+    keep the ``plan.plans_reused`` accounting faithful).
+    """
+
+    variables: tuple[Variable, ...]
+    patterns: tuple
+    universal: tuple[int, ...]
+    heads: tuple
+    sigma_order: tuple[tuple[Variable, int], ...]
+    base_order: tuple[int, ...]
+    base_planned: bool
+    pivot_orders: tuple[tuple[int, ...], ...]
+    pivot_planned: tuple[bool, ...]
+    bound: bool
+
+    def bind(self, intern: Callable[[Term], int]) -> "RuleProgram":
+        """This program with each constant replaced by ``intern(term)``
+        (itself when there is none); every run binds for its own store."""
+        if self.bound:
+            return self
+        patterns = tuple(
+            (predicate, tuple(s if s[0] else (False, intern(s[1])) for s in slots))
+            for predicate, slots in self.patterns
+        )
+        heads = tuple(
+            (predicate, tuple(("c", intern(s[1])) if s[0] == "c" else s for s in slots))
+            for predicate, slots in self.heads
+        )
+        return replace(self, patterns=patterns, heads=heads, bound=True)
+
+    def head_rows(
+        self, row, intern_function: Callable[[str, tuple], int]
+    ) -> "list[tuple]":
+        """``(predicate, ids)`` of every head atom for one sigma row."""
+        out = []
+        for predicate, slots in self.heads:
+            ids = []
+            for slot in slots:
+                kind = slot[0]
+                if kind == "v":
+                    ids.append(row[slot[1]])
+                elif kind == "c":
+                    ids.append(slot[1])
+                else:
+                    ids.append(intern_function(slot[1], tuple(row[i] for i in slot[2])))
+            out.append((predicate, tuple(ids)))
+        return out
+
+
+def lower_rule(skolemized: SkolemizedRule, plan: RulePlan) -> RuleProgram:
+    """Lower a skolemized rule and its plan to a :class:`RuleProgram`.
+
+    Bodies hold variables and ground terms only (the pattern compiler
+    rejects anything else); heads after skolemization hold body or
+    universal variables, ground terms and Skolem terms over the frontier.
+    """
+    index_of: dict[Variable, int] = {}
+    constants = False
+
+    def slot(term: Term) -> tuple:
+        nonlocal constants
+        if isinstance(term, Variable):
+            return (True, index_of.setdefault(term, len(index_of)))
+        constants = True
+        return (False, term)
+
+    patterns = tuple(
+        (item.predicate, tuple(slot(term) for term in item.args))
+        for item in skolemized.rule.body
+    )
+    universal = tuple(slot(var)[1] for var in plan.universal)
+    heads = []
+    for item in skolemized.head:
+        head_slots = []
+        for term in item.args:
+            if isinstance(term, FunctionTerm) and not term.is_ground():
+                head_slots.append(
+                    ("f", term.functor, tuple(index_of[child] for child in term.args))
+                )
+            else:
+                is_var, value = slot(term)
+                head_slots.append(("v" if is_var else "c", value))
+        heads.append((item.predicate, tuple(head_slots)))
+    count = len(patterns)
+    join = plan.join
+    pivot_orders = tuple(
+        join.pivot_orders[pivot]
+        if join.pivot_orders[pivot] is not None
+        else (pivot,) + tuple(i for i in range(count) if i != pivot)
+        for pivot in range(count)
+    )
+    return RuleProgram(
+        variables=tuple(index_of),
+        patterns=patterns,
+        universal=universal,
+        heads=tuple(heads),
+        sigma_order=tuple(sorted(index_of.items(), key=lambda kv: kv[0].name)),
+        base_order=(
+            join.base_order if join.base_order is not None else tuple(range(count))
+        ),
+        base_planned=join.base_order is not None,
+        pivot_orders=pivot_orders,
+        pivot_planned=tuple(order is not None for order in join.pivot_orders),
+        bound=not constants,
     )

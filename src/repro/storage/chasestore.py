@@ -59,16 +59,16 @@ from ..chase.engine import (
     CancellationToken,
     ChaseBudget,
     ChaseBudgetExceeded,
+    _PreparedRule,
+    _prepare_rules,
     _RoundInterrupt,
     _RunControl,
     note_interruption,
     universal_matches,
 )
 from ..chase.planner import CONTROL_CHECK_STRIDE
-from ..chase.skolem import skolemize
 from ..logic.instance import Instance
 from ..logic.serialize import dump_rule
-from ..logic.terms import FunctionTerm, Variable
 from ..logic.tgd import Theory
 from ..telemetry import Telemetry
 from .sqlcompile import build_select
@@ -107,81 +107,30 @@ class StoreChaseResult:
         return self.store.digest()
 
 
-# A head-slot recipe, resolved per sigma row: ("v", i) copies the i-th
-# sigma value (body variables first, then universal ones), ("f",
-# functor, indices) interns a Skolem term over those row positions,
-# ("c", term_id) is a pre-interned ground term.
-_Slot = tuple
-
 # The parent key recorded for a fact produced by a bodyless rule: such
 # a fact is derived (not base), yet no retraction can reach it.
 _EMPTY_BODY = "true"
 
 
 class _StoreRule:
-    """A rule compiled for id-native application against a store."""
+    """A rule's SQL side in the store chase, for one call on one store.
 
-    def __init__(self, rule, store: SQLiteStore) -> None:
-        self.rule = rule
-        skolemized = skolemize(rule)
-        self.body = tuple(rule.body)
-        body_vars: list[Variable] = []
-        for item in self.body:
-            for term in item.args:
-                if isinstance(term, Variable) and term not in body_vars:
-                    body_vars.append(term)
-        self.body_vars = tuple(body_vars)
-        self.body_predicates = frozenset(item.predicate for item in self.body)
-        # Universal head variables range over the round's domain; their
-        # values extend each body row (the planner's canonical order).
-        self.universal = tuple(
-            sorted(rule.universal_head_variables(), key=lambda var: var.name)
-        )
-        index_of = {var: i for i, var in enumerate(body_vars + list(self.universal))}
+    ``program`` is the rule's shared :class:`~repro.chase.planner.
+    RuleProgram` (lowered once per ``Theory``) with its constants bound
+    to this store's term ids; a sigma row is the body variables' values
+    in the program's order, then the universal ones.  Built afresh by
+    every :func:`chase_into_store` / :func:`update_store_chase` call, so
+    a rolled-back round never leaves a stale constant id behind.
+    """
 
-        def slot(term) -> _Slot:
-            if isinstance(term, Variable):
-                return ("v", index_of[term])
-            return ("c", store.intern_term(term))
-
-        self.head_specs: list[tuple] = []
-        for item in skolemized.head:
-            slots: list[_Slot] = []
-            for term in item.args:
-                if isinstance(term, FunctionTerm) and not term.is_ground():
-                    slots.append(
-                        ("f", term.functor, tuple(index_of[arg] for arg in term.args))
-                    )
-                else:
-                    slots.append(slot(term))
-            self.head_specs.append((item.predicate, tuple(slots)))
-        # Body-atom recipes for provenance: each body atom rendered as a
-        # fact key per sigma row, recorded as the (child, parent) support
-        # edges that ``update_store_chase`` walks to over-delete a
-        # retraction's cone.
-        self.body_specs = [
-            (item.predicate, tuple(slot(term) for term in item.args))
-            for item in self.body
+    def __init__(self, prepared: _PreparedRule, store: SQLiteStore) -> None:
+        program = prepared.program.bind(store.intern_term)
+        self.program = program
+        self.body = prepared.skolemized.rule.body
+        self.body_vars = program.variables[
+            : len(program.variables) - len(program.universal)
         ]
-
-    def apply(self, row: tuple, store: SQLiteStore) -> "list[tuple]":
-        """Head fact rows (as id tuples, paired with predicates) for one sigma."""
-        out = []
-        for predicate, slots in self.head_specs:
-            ids = []
-            for slot in slots:
-                if slot[0] == "v":
-                    ids.append(row[slot[1]])
-                elif slot[0] == "f":
-                    ids.append(
-                        store.intern_function(
-                            slot[1], tuple(row[i] for i in slot[2])
-                        )
-                    )
-                else:
-                    ids.append(slot[1])
-            out.append((predicate, tuple(ids)))
-        return out
+        self.plan = prepared.plan
 
     def bind_head(
         self, slots: tuple, ids: "tuple[int, ...]", store: SQLiteStore
@@ -215,35 +164,29 @@ class _StoreRule:
         """One body row agreeing with ``binding`` over the store, or ``None``."""
         if not self.body:
             return ()
-        compiled = build_select(
-            self.body,
-            self.body_vars,
-            store,
-            limit_one=True,
-            distinct=False,
-            bound={self.body_vars[index]: value for index, value in binding.items()},
-        )
-        if compiled is None:
-            return None
-        row = store._select(compiled.sql, compiled.params).fetchone()
-        if row is not None:
-            store.stats.counters["store.rows_scanned"] += 1
-        return row
+        bound = {self.body_vars[index]: value for index, value in binding.items()}
+        return next(self.select(store, limit_one=True, bound=bound), None)
 
     def parent_keys(self, row: tuple) -> "list[str]":
-        """The body image of one sigma row, as fact keys."""
-        keys = []
-        for predicate, slots in self.body_specs:
-            ids = tuple(
-                row[slot[1]] if slot[0] == "v" else slot[1] for slot in slots
+        """The body image of one sigma row, as fact keys.
+
+        These are the (child, parent) support edges that
+        ``update_store_chase`` walks to over-delete a retraction's cone.
+        """
+        keys = [
+            fact_key(
+                predicate,
+                tuple(row[value] if is_var else value for is_var, value in slots),
             )
-            keys.append(fact_key(predicate, ids))
+            for predicate, slots in self.program.patterns
+        ]
         return keys or [_EMPTY_BODY]
 
-    def select(self, store: SQLiteStore, bounds: list):
-        """Body rows (raw sigma tuples) under per-alias round bounds."""
+    def select(self, store: SQLiteStore, **options):
+        """Body rows (raw sigma tuples) under ``build_select`` options:
+        per-alias ``round_bounds``, or ``bound`` columns and ``limit_one``."""
         compiled = build_select(
-            self.body, self.body_vars, store, round_bounds=bounds, distinct=False
+            self.body, self.body_vars, store, distinct=False, **options
         )
         if compiled is None:
             return  # a body predicate has no fact table yet
@@ -287,16 +230,16 @@ class _StoreRule:
                 for pivot in pivots
             ]
         if width:
-            sources = [self.select(store, bounds) for bounds in plans]
+            sources = [self.select(store, round_bounds=bounds) for bounds in plans]
         else:  # an empty body has one empty match, in a full round only
             sources = [((),)] if full else []
-        if not self.universal:
+        if not self.plan.universal:
             return sources
         pool, delta_pool, old_pool = domain
         paired = universal_matches(
-            len(self.universal),
+            len(self.plan.universal),
             itertools.chain.from_iterable(sources),
-            lambda: self.select(store, everything) if width else ((),),
+            lambda: self.select(store, round_bounds=everything) if width else ((),),
             pool,
             None if full or not delta_pool else (delta_pool, old_pool),
         )
@@ -325,20 +268,6 @@ def _domain(store: SQLiteStore, last: int) -> "tuple[list, list, list]":
     delta = [term_id for term_id in pool if first_seen[term_id] == last]
     old = [term_id for term_id in pool if first_seen[term_id] != last]
     return pool, delta, old
-
-
-def _store_rules(theory: Theory, store: SQLiteStore) -> "list[_StoreRule]":
-    """The theory's rules compiled for ``store``, once per (theory, store).
-
-    The ``"c"`` slots hold the store's interned ids, which stay valid
-    while the term dictionary does: :meth:`SQLiteStore.clear_facts`
-    keeps it, and :meth:`SQLiteStore.rollback` drops this cache.
-    """
-    rules = store.compiled_rules.get(theory)
-    if rules is None:
-        rules = [_StoreRule(rule, store) for rule in theory]
-        store.compiled_rules[theory] = rules
-    return rules
 
 
 _THEORY_TEXT: "weakref.WeakKeyDictionary[Theory, str]" = weakref.WeakKeyDictionary()
@@ -423,11 +352,11 @@ def _filter_existing_supports(
 
 def _execute_round(
     store: SQLiteStore,
-    prepared: "list[_StoreRule]",
+    rules: "list[_StoreRule]",
     round_number: int,
     control: "_RunControl | None",
     full: bool,
-    delta: "set | None" = None,
+    delta: "set | None",
 ) -> "tuple[int, int, int, set]":
     """One store round's trigger matching and batched inserts.
 
@@ -455,7 +384,7 @@ def _execute_round(
     stride = CONTROL_CHECK_STRIDE - 1
     last = round_number - 1
     domain = (
-        _domain(store, last) if any(rule.universal for rule in prepared) else None
+        _domain(store, last) if any(rule.plan.universal for rule in rules) else None
     )
     matches = 0
     produced_rows = 0
@@ -477,7 +406,7 @@ def _execute_round(
         supports.clear()
         return new_rows
 
-    for rule in prepared:
+    for rule in rules:
         if control is not None:
             reason = control.interruption()
             if reason is not None:
@@ -485,11 +414,12 @@ def _execute_round(
         if (
             not full
             and delta is not None
-            and not rule.universal
-            and not rule.body_predicates & delta
+            and not rule.plan.universal
+            and not rule.plan.body_predicates & delta
         ):
             counters["plan.rules_skipped"] += 1
             continue
+        head_rows = rule.program.head_rows
         for source in rule.sources(store, last, full, domain, delta):
             pending: dict = {}
             pending_rows = 0
@@ -500,7 +430,7 @@ def _execute_round(
                     if reason is not None:
                         raise _RoundInterrupt(reason)
                 parents = rule.parent_keys(row)
-                for predicate, ids in rule.apply(row, store):
+                for predicate, ids in head_rows(row, store.intern_function):
                     produced_rows += 1
                     pending.setdefault(predicate, []).append(ids)
                     pending_rows += 1
@@ -514,6 +444,97 @@ def _execute_round(
                 inserted += flush(pending)
                 _maybe_kill("storechase.kill_midround", round_number)
     return matches, produced_rows, inserted, fresh
+
+
+def _run_store_rounds(
+    store: SQLiteStore,
+    rules: "list[_StoreRule]",
+    rounds_run: int,
+    total: int,
+    budget: ChaseBudget,
+    cancel: "CancellationToken | None",
+    full: bool,
+    delta: "set | None",
+    on_round=None,
+) -> StoreChaseResult:
+    """Store rounds after round ``rounds_run`` until a fixpoint or the budget.
+
+    ``full`` selects full-width evaluation for the first round only (see
+    :func:`_execute_round`); ``delta`` is the predicates the last
+    committed round added to (``None`` when unknown).  Each completed
+    round's facts and ``storechase.*`` state commit as ONE transaction —
+    the SIGKILL-atomicity the chaos suite pins — and ``on_round``, given
+    whether the round reached the fixpoint, runs just before that
+    commit.  An interrupted round is rolled back.
+    """
+    stats = store.stats
+    counters = stats.counters
+    control = _RunControl.start(budget, cancel)
+    interrupted: "str | None" = None
+    terminated = False
+    for _ in range(budget.max_rounds):
+        if control is not None:
+            reason = control.interruption()
+            if reason is not None:
+                interrupted = reason
+                break
+        round_number = rounds_run + 1
+        round_started = time.perf_counter()
+        terms_before = counters["store.terms_interned"]
+        try:
+            matches, produced_rows, inserted, delta = _execute_round(
+                store, rules, round_number, control, full=full, delta=delta
+            )
+        except _RoundInterrupt as stop:
+            # Abandon the round wholesale: rows inserted so far are
+            # rolled back, so disk holds exactly the last complete round
+            # (Observation 8 makes the re-run exact).
+            store.rollback()
+            stats.record_round(
+                round=round_number,
+                aborted=True,
+                total_atoms=total,
+                seconds=round(time.perf_counter() - round_started, 6),
+            )
+            interrupted = stop.reason
+            break
+        full = False
+        total += inserted
+        dedup_hits = produced_rows - inserted
+        counters["chase.rounds"] += 1
+        counters["chase.matches"] += matches
+        counters["chase.atoms_produced"] += inserted
+        counters["chase.dedup_hits"] += dedup_hits
+        if inserted:
+            rounds_run = round_number
+        else:
+            terminated = True
+        if on_round is not None:
+            on_round(terminated)
+        stats.record_round(
+            round=round_number,
+            matches=matches,
+            atoms_produced=inserted,
+            dedup_hits=dedup_hits,
+            new_terms=counters["store.terms_interned"] - terms_before,
+            total_atoms=total,
+            seconds=round(time.perf_counter() - round_started, 6),
+        )
+        _persist_state(store, rounds_run, terminated, stats, commit=False)
+        _maybe_kill("storechase.kill", round_number)
+        store.commit()
+        if terminated:
+            break
+        if total > budget.max_atoms:
+            if budget.on_exceeded == "raise":
+                raise ChaseBudgetExceeded(
+                    f"store chase exceeded {budget.max_atoms} atoms after "
+                    f"{rounds_run} rounds"
+                )
+            break
+    if interrupted is not None:
+        note_interruption(stats, interrupted, budget, rounds_run)
+    return StoreChaseResult(store, rounds_run, terminated, total, stats)
 
 
 def chase_into_store(
@@ -606,88 +627,13 @@ def chase_into_store(
         store.commit()
         total = len(store)
 
-    prepared = _store_rules(theory, store)
-    # The predicates the last round added to; unknown on entry, so a
-    # resumed first round evaluates every pivot.
-    delta = None
-    control = _RunControl.start(budget, cancel)
-    interrupted: "str | None" = None
-
+    rules = [_StoreRule(prepared, store) for prepared in _prepare_rules(theory)]
     with stats.timer("chase"):
-        for _ in range(budget.max_rounds):
-            if control is not None:
-                reason = control.interruption()
-                if reason is not None:
-                    interrupted = reason
-                    break
-            round_number = rounds_run + 1
-            round_started = time.perf_counter()
-            terms_before = counters["store.terms_interned"]
-            try:
-                matches, produced_rows, inserted, delta = _execute_round(
-                    store,
-                    prepared,
-                    round_number,
-                    control,
-                    full=round_number == 1,
-                    delta=delta,
-                )
-            except _RoundInterrupt as stop:
-                # Abandon the round wholesale: rows inserted so far are
-                # rolled back, so disk holds exactly the last complete
-                # round (Observation 8 makes the re-run exact).
-                store.rollback()
-                stats.record_round(
-                    round=round_number,
-                    aborted=True,
-                    total_atoms=total,
-                    seconds=round(time.perf_counter() - round_started, 6),
-                )
-                interrupted = stop.reason
-                break
-            total += inserted
-            dedup_hits = produced_rows - inserted
-            counters["chase.rounds"] += 1
-            counters["chase.matches"] += matches
-            counters["chase.atoms_produced"] += inserted
-            counters["chase.dedup_hits"] += dedup_hits
-            if inserted:
-                rounds_run = round_number
-            else:
-                terminated = True
-            stats.record_round(
-                round=round_number,
-                matches=matches,
-                atoms_produced=inserted,
-                dedup_hits=dedup_hits,
-                new_terms=counters["store.terms_interned"] - terms_before,
-                total_atoms=total,
-                seconds=round(time.perf_counter() - round_started, 6),
-            )
-            # The round's facts and the updated chase state commit as ONE
-            # transaction — the SIGKILL-atomicity the chaos suite pins.
-            _persist_state(store, rounds_run, terminated, stats, commit=False)
-            _maybe_kill("storechase.kill", round_number)
-            store.commit()
-            if terminated:
-                break
-            if total > budget.max_atoms:
-                if budget.on_exceeded == "raise":
-                    raise ChaseBudgetExceeded(
-                        f"store chase exceeded {budget.max_atoms} atoms after "
-                        f"{rounds_run} rounds"
-                    )
-                break
-        if interrupted is not None:
-            note_interruption(stats, interrupted, budget, rounds_run)
-
-    return StoreChaseResult(
-        store=store,
-        rounds_run=rounds_run,
-        terminated=terminated,
-        atom_count=total,
-        stats=stats,
-    )
+        # The predicates the last round added to are unknown on entry, so
+        # a resumed first round evaluates every pivot.
+        return _run_store_rounds(
+            store, rules, rounds_run, total, budget, cancel, rounds_run == 0, None
+        )
 
 
 def resume_store_chase(
@@ -721,7 +667,7 @@ def _encode_existing(store: SQLiteStore, item) -> "tuple[int, ...] | None":
 
 def _rederive_cone(
     store: SQLiteStore,
-    prepared: "list[_StoreRule]",
+    rules: "list[_StoreRule]",
     deleted: "set[str]",
     epoch: int,
 ) -> set:
@@ -737,8 +683,8 @@ def _rederive_cone(
     survivors and the new base.  Returns the predicates of the hits.
     """
     heads: dict = {}
-    for rule in prepared:
-        for predicate, slots in rule.head_specs:
+    for rule in rules:
+        for predicate, slots in rule.program.heads:
             heads.setdefault(predicate, []).append((rule, slots))
     counters = store.stats.counters
     found: dict = {}
@@ -810,7 +756,7 @@ def update_store_chase(
     — as :func:`repro.incremental.incremental_update` does — for
     retracting a derived fact (bodyless-rule productions included),
     retracting under a theory with universal head variables, or adding
-    and retracting the same fact.
+    and retracting the same fact.  A fact listed twice counts once.
     """
     budget = budget if budget is not None else ChaseBudget()
     stats = store.stats
@@ -836,10 +782,8 @@ def update_store_chase(
         raise StoreChaseError(
             "store chase is not at a fixpoint; resume_store_chase first"
         )
-    prepared = _store_rules(theory, store)
-
-    add = list(add)
-    retract = list(retract)
+    add = list(dict.fromkeys(add))
+    retract = list(dict.fromkeys(retract))
     overlap = {item for item in add if item in retract}
     if overlap:
         raise ValueError(
@@ -872,14 +816,16 @@ def update_store_chase(
             from ..incremental import _check_retraction_supported
 
             _check_retraction_supported(theory)
-        to_insert = [item for item in add if item not in store]
+        to_insert = []
         promoted_keys = set()
         for item in add:
             ids = _encode_existing(store, item)
-            if ids is not None and item in store:
-                key = fact_key(item.predicate, ids)
-                if store.has_support(key):
-                    promoted_keys.add(key)
+            if ids is None or item not in store:
+                to_insert.append(item)
+                continue
+            key = fact_key(item.predicate, ids)
+            if store.has_support(key):
+                promoted_keys.add(key)
 
         if not removed_keys and not to_insert and not promoted_keys:
             if not repair_pending:
@@ -894,6 +840,7 @@ def update_store_chase(
 
         # ---- ONE transaction: cone deletion, base changes, probe hits
         # and state (no membership test or len() below: both commit) --
+        rules = [_StoreRule(prepared, store) for prepared in _prepare_rules(theory)]
         deleted: "set[str]" = set()
         if removed_keys:
             deleted = set(removed_keys)
@@ -919,7 +866,7 @@ def update_store_chase(
         # A legacy repair re-derives with its full-width round instead.
         delta = {item.predicate for item in to_insert}
         if deleted and not repair_pending:
-            delta |= _rederive_cone(store, prepared, deleted, epoch)
+            delta |= _rederive_cone(store, rules, deleted, epoch)
         terminated = not repair_pending and not delta
 
         def count_rederived() -> None:
@@ -936,85 +883,22 @@ def update_store_chase(
         _persist_state(store, epoch, terminated, stats, commit=False)
         _maybe_kill("storechase.kill", epoch)
         store.commit()
-        rounds_run = epoch
         total = len(store)
+        if terminated:
+            return StoreChaseResult(store, epoch, True, total, stats)
 
-        # ---- semi-naive rounds seeded by the epoch's facts -----------
-        control = _RunControl.start(budget, cancel)
-        interrupted: "str | None" = None
-        for _ in range(0 if terminated else budget.max_rounds):
-            if control is not None:
-                reason = control.interruption()
-                if reason is not None:
-                    interrupted = reason
-                    break
-            round_number = rounds_run + 1
-            round_started = time.perf_counter()
-            terms_before = counters["store.terms_interned"]
-            try:
-                matches, produced_rows, inserted, delta = _execute_round(
-                    store,
-                    prepared,
-                    round_number,
-                    control,
-                    full=repair_pending,
-                    delta=delta,
-                )
-            except _RoundInterrupt as stop:
-                store.rollback()
-                stats.record_round(
-                    round=round_number,
-                    aborted=True,
-                    total_atoms=total,
-                    seconds=round(time.perf_counter() - round_started, 6),
-                )
-                interrupted = stop.reason
-                break
-            total += inserted
-            dedup_hits = produced_rows - inserted
-            counters["chase.rounds"] += 1
-            counters["chase.matches"] += matches
-            counters["chase.atoms_produced"] += inserted
-            counters["chase.dedup_hits"] += dedup_hits
+        def on_round(done: bool) -> None:
+            nonlocal repair_pending
             counters["delta.rounds"] += 1
-            if inserted:
-                rounds_run = round_number
-            else:
-                terminated = True
+            if done:
                 count_rederived()
-            stats.record_round(
-                round=round_number,
-                matches=matches,
-                atoms_produced=inserted,
-                dedup_hits=dedup_hits,
-                new_terms=counters["store.terms_interned"] - terms_before,
-                total_atoms=total,
-                seconds=round(time.perf_counter() - round_started, 6),
-            )
             if repair_pending:
                 # The legacy closure is whole again from here on; a crash
                 # in a later round resumes like any suspended chase.
                 store.set_meta("storechase.repair", "0", commit=False)
                 repair_pending = False
-            _persist_state(store, rounds_run, terminated, stats, commit=False)
-            _maybe_kill("storechase.kill", round_number)
-            store.commit()
-            if terminated:
-                break
-            if total > budget.max_atoms:
-                if budget.on_exceeded == "raise":
-                    raise ChaseBudgetExceeded(
-                        f"store chase exceeded {budget.max_atoms} atoms "
-                        f"after {rounds_run} rounds"
-                    )
-                break
-        if interrupted is not None:
-            note_interruption(stats, interrupted, budget, rounds_run)
 
-    return StoreChaseResult(
-        store=store,
-        rounds_run=rounds_run,
-        terminated=terminated,
-        atom_count=total,
-        stats=stats,
-    )
+        # ---- semi-naive rounds seeded by the epoch's facts -----------
+        return _run_store_rounds(
+            store, rules, epoch, total, budget, cancel, repair_pending, delta, on_round
+        )

@@ -67,7 +67,6 @@ import random
 import re
 import sqlite3
 import time
-import weakref
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -189,9 +188,6 @@ class SQLiteStore(TermInterningMixin):
         self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         self._tables: dict[Predicate, str] = {}
         self._init_term_caches()
-        # Store-chase rules compiled against this store's term ids, per
-        # theory (see repro.storage.chasestore); a rollback drops them.
-        self.compiled_rules: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._pending: dict[Predicate, list[tuple]] = {}
         self._pending_rows = 0
         for name, arity, table in self._conn.execute(
@@ -263,7 +259,6 @@ class SQLiteStore(TermInterningMixin):
         self._pending_rows = 0
         self.connection.rollback()
         self._init_term_caches()
-        self.compiled_rules = weakref.WeakKeyDictionary()
         self.reload_catalog()
 
     def reload_catalog(self) -> None:

@@ -581,6 +581,32 @@ class TestStoreUpdates:
             assert counters["delta.rederive_probes"] >= 1
             assert counters["delta.rounds"] == 0
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"add": ["E(c, d).", "E(c, d)."]}, {"retract": ["E(a, b).", "E(a, b)."]}],
+        ids=["add", "retract"],
+    )
+    def test_duplicated_inputs_count_like_incremental_update(self, change):
+        # A fact listed twice is one change, in both engines' counters.
+        change = {key: [fact(text) for text in texts] for key, texts in change.items()}
+        base = parse_instance("E(a, b). E(b, c).")
+        memory = incremental_update(
+            chase(TC, base, budget=BUDGET), budget=BUDGET, **change
+        ).stats.counters
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(TC, base, store, budget=BUDGET)
+            before = dict(store.stats.counters)
+            update_store_chase(store, TC, budget=BUDGET, **change)
+            counters = store.stats.counters
+            stored = {name: counters[name] - before.get(name, 0) for name in counters}
+        names = {
+            name for name in (*memory, *stored) if name.startswith("delta.")
+        }
+        assert {name: stored.get(name, 0) for name in names} == {
+            name: memory[name] for name in names
+        }
+        assert memory["delta.added_base"] + memory["delta.retracted_base"] == 1
+
     def test_probe_hit_seeds_semi_naive_rounds(self):
         # E(a, c) keeps the alternative path a -> x -> c: its probe hits,
         # and the hit seeds the semi-naive rounds.

@@ -279,6 +279,40 @@ class TestPreparedRuleCache:
         assert _prepare_rules(t_p()) is not _prepare_rules(t_p())
 
 
+    def test_rules_are_lowered_once_per_theory(self, monkeypatch, tmp_path):
+        # Every id-native run shares the one lowering in the memo: two
+        # columnar chases, a resume, an incremental update and store
+        # chases on two stores.
+        from repro import incremental_update
+        from repro.chase import engine, planner
+        from repro.storage import SQLiteStore, chase_into_store
+
+        lowered = []
+        lower_rule = planner.lower_rule
+
+        def counting(skolemized, plan):
+            lowered.append(skolemized.rule)
+            return lower_rule(skolemized, plan)
+
+        for module in (planner, engine):
+            monkeypatch.setattr(module, "lower_rule", counting)
+        theory = parse_theory("E(x, y), E(y, z) -> E(x, z)", name="lowered-once")
+        base = parse_instance("E(a, b). E(b, c). E(c, d).")
+        budget = ChaseBudget(max_rounds=20)
+        prefix = chase(
+            theory, base, budget=ChaseBudget(max_rounds=1), backend="columnar"
+        )
+        resume(prefix, 20, backend="columnar")
+        done = chase(theory, base, budget=budget, backend="columnar")
+        incremental_update(
+            done, add=parse_instance("E(d, e)."), budget=budget, backend="columnar"
+        )
+        for path in (":memory:", tmp_path / "store.db"):
+            with SQLiteStore(path) as store:
+                assert chase_into_store(theory, base, store, budget=budget).terminated
+        assert lowered == list(theory)
+
+
 class TestDepthIndex:
     def test_depth_of_matches_round_added(self):
         result = chase(t_p(), edge_path(4), budget=ChaseBudget(max_rounds=4))

@@ -42,6 +42,7 @@ report the kernel's work.  See ``docs/architecture.md`` §9.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ..logic.atoms import Atom
@@ -51,8 +52,6 @@ from ..logic.homomorphism import (
     _NODES,
     _SCANNED,
     _flush_search_effort,
-    compile_query_patterns,
-    plan_join,
 )
 from ..logic.instance import Instance
 from ..logic.query import ConjunctiveQuery, UnionOfCQs
@@ -470,11 +469,64 @@ def _compile_query(cq: ConjunctiveQuery, store: ColumnarStore):
                     return None
                 slots.append((False, term_id))
         patterns.append((item.predicate, tuple(slots)))
-    order = plan_join(compile_query_patterns(cq.atoms)).base_order
+    order = cq.join_plan().base_order
     if order is None:
         order = tuple(range(len(patterns)))
     answer = tuple(var_index[var] for var in cq.answer_vars)
     return tuple(patterns), order, len(var_index), answer
+
+
+def _project_rows(
+    relations: dict, compiled: tuple, rows: "set[tuple[int, ...]]"
+) -> None:
+    """Add one lowered CQ's distinct answer id rows to ``rows``.
+
+    The id-space twin of :func:`~repro.logic.homomorphism.project_answers`:
+    a one-atom body over pairwise-distinct variables projects
+    ``relation.rows`` directly; any other body joins its static order up
+    to the *cut* — the first level by which every answer variable is
+    bound — and, for a row not yet in ``rows``, probes the remaining
+    levels for one witness only.
+    """
+    patterns, order, var_count, answer = compiled
+    if len(patterns) == 1:
+        predicate, slots = patterns[0]
+        # Variables are numbered in first-occurrence order, so a body of
+        # pairwise-distinct variables numbers them by position.
+        if var_count == len(slots) and all(is_var for is_var, _ in slots):
+            relation = relations.get(predicate)
+            if relation is None or not relation.rows:
+                return
+            if not answer:
+                rows.add(())
+            elif answer == tuple(range(var_count)):
+                rows.update(relation.rows)
+            elif len(answer) == 1:
+                position = answer[0]
+                rows.update([(row[position],) for row in relation.rows])
+            else:
+                rows.update(map(itemgetter(*answer), relation.rows))
+            return
+    wanted = set(answer)
+    cut = 0
+    while wanted:
+        wanted.difference_update(
+            value for is_var, value in patterns[order[cut]][1] if is_var
+        )
+        cut += 1
+    prefix, suffix = order[:cut], order[cut:]
+    binding: list = [None] * var_count
+    for bound in _join(relations, patterns, prefix, None, None, binding, None):
+        row = tuple([bound[index] for index in answer])
+        if row in rows:
+            continue
+        # The probe binds a copy: a join stopped at its first witness
+        # leaves its bindings set, and the prefix join must not see them.
+        if suffix and next(
+            _join(relations, patterns, suffix, None, None, list(bound), None), None
+        ) is None:
+            continue
+        rows.add(row)
 
 
 def evaluate_ucq_columnar(
@@ -482,32 +534,24 @@ def evaluate_ucq_columnar(
 ) -> set[tuple]:
     """All certain answers of a (U)CQ over a columnar store's facts.
 
-    The id-native analogue of ``evaluate_ucq_sql``: each disjunct runs
-    as one hash join over the store's relations, answers are decoded to
-    term tuples once per distinct id row.  Boolean queries short-circuit
-    on the first witness; disjuncts mentioning never-interned constants
-    or absent predicates are pruned for free.
+    The id-native analogue of ``evaluate_ucq_sql``: every disjunct
+    projects into one set of distinct id rows (see :func:`_project_rows`),
+    and each distinct row is decoded to terms once, at the end.  Boolean
+    queries stop at the first witness; disjuncts mentioning
+    never-interned constants or absent predicates are pruned for free.
     """
     disjuncts = (
         query.disjuncts()
         if isinstance(query, UnionOfCQs)
         else (query,)
     )
-    answers: set[tuple] = set()
+    rows: set[tuple[int, ...]] = set()
     relations = store._relations
     for cq in disjuncts:
         compiled = _compile_query(cq, store)
         if compiled is None:
             continue
-        patterns, order, var_count, answer = compiled
-        binding: list = [None] * var_count
-        boolean = not answer
-        for bound in _join(
-            relations, patterns, order, None, None, binding, None
-        ):
-            if boolean:
-                return {()}
-            answers.add(
-                tuple(store.term_by_id(bound[index]) for index in answer)
-            )
-    return answers
+        _project_rows(relations, compiled, rows)
+        if () in rows:
+            break
+    return store.decode_rows(rows)

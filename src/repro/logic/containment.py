@@ -118,12 +118,17 @@ def contains_equivalent(
 
 
 def evaluate_ucq(ucq: UnionOfCQs, instance: Instance) -> set[tuple[Term, ...]]:
-    """All answers of a UCQ: the union of its disjuncts' answers."""
-    from .homomorphism import evaluate
+    """All answers of a UCQ: the union of its disjuncts' answers.
+
+    The disjuncts project into one answer set, so a tuple an earlier
+    disjunct found prunes the later disjuncts' searches (and a boolean
+    UCQ stops at its first witness).
+    """
+    from .homomorphism import project_answers
 
     answers: set[tuple[Term, ...]] = set()
     for disjunct in ucq:
-        answers |= evaluate(disjunct, instance)
+        project_answers(disjunct, instance, answers)
     return answers
 
 

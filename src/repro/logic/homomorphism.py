@@ -20,11 +20,18 @@ Hot callers (the chase) precompile their patterns once via
 :func:`iter_pattern_homomorphisms`; an optional
 :class:`~repro.telemetry.Telemetry` records search effort (nodes expanded,
 index-bucket estimates vs. facts actually scanned, backtrack clashes).
+
+Query *evaluation* (:func:`evaluate`, and through it
+:func:`~repro.logic.containment.evaluate_ucq`) needs answer tuples, not
+homomorphisms: :func:`project_answers` projects one-atom bodies straight
+from the predicate index and cuts every other search once the answer
+variables are bound, so each answer costs one witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .atoms import Atom
@@ -201,6 +208,30 @@ def _candidates(
     return len(facts), facts
 
 
+def _fewest_candidates(
+    patterns: Sequence[_Pattern],
+    used: list[bool],
+    instance: Instance,
+    assignment: dict,
+    restrictions: dict[int, Instance] | None,
+) -> tuple[int, int, Iterable[Atom]]:
+    """The dynamic atom choice: (index, count, candidates) of the unused
+    pattern with the smallest candidate bucket."""
+    index = -1
+    count: int | None = None
+    candidates: Iterable[Atom] = ()
+    for candidate_index, pattern in enumerate(patterns):
+        if used[candidate_index]:
+            continue
+        source = restrictions.get(candidate_index, instance) if restrictions else instance
+        found_count, found = _candidates(pattern, source, assignment)
+        if count is None or found_count < count:
+            index, count, candidates = candidate_index, found_count, found
+            if found_count == 0:
+                break
+    return index, count or 0, candidates
+
+
 def _match(pattern: _Pattern, fact: Atom, assignment: dict) -> dict | None:
     """Try to extend ``assignment`` so that the pattern maps onto ``fact``.
 
@@ -277,24 +308,9 @@ def _search(
                 source = restrictions.get(index, instance) if restrictions else instance
                 count, candidates = _candidates(patterns[index], source, assignment)
             else:
-                index = -1
-                count = None
-                candidates = ()
-                for candidate_index in range(depth_limit):
-                    if used[candidate_index]:
-                        continue
-                    source = (
-                        restrictions.get(candidate_index, instance)
-                        if restrictions
-                        else instance
-                    )
-                    found_count, found = _candidates(
-                        patterns[candidate_index], source, assignment
-                    )
-                    if count is None or found_count < count:
-                        index, count, candidates = candidate_index, found_count, found
-                        if found_count == 0:
-                            break
+                index, count, candidates = _fewest_candidates(
+                    patterns, used, instance, assignment, restrictions
+                )
                 used[index] = True
             candidate_list = list(candidates)
             if track:
@@ -421,9 +437,149 @@ def find_query_homomorphism(
 def evaluate(query: ConjunctiveQuery, instance: Instance) -> set[tuple[Term, ...]]:
     """All answers of a CQ over an instance."""
     answers: set[tuple[Term, ...]] = set()
-    for hom in iter_query_homomorphisms(query.atoms, instance):
-        answers.add(tuple(hom[var] for var in query.answer_vars))
+    project_answers(query, instance, answers)
     return answers
+
+
+def project_answers(
+    query: ConjunctiveQuery, instance: Instance, answers: set[tuple[Term, ...]]
+) -> None:
+    """Add ``query``'s answers over ``instance`` to ``answers``.
+
+    Projection, not enumeration: each answer tuple is found once, never
+    once per existential witness behind it.
+
+    * A one-atom body whose arguments are pairwise-distinct variables
+      projects its predicate's facts directly (a boolean one holds
+      exactly when there is such a fact).
+    * Any other body runs the dynamic fewest-candidates backtracker with
+      a *projection cut*: once every answer variable is bound, a tuple
+      already in ``answers`` prunes the subtree, and a new one only
+      needs the remaining atoms to have *some* match — the search stops
+      at the first witness and unwinds to the cut.  A boolean query is
+      cut before its first atom, so it stops at its first witness.
+
+    ``answers`` may already hold tuples (a UCQ's earlier disjuncts); they
+    are cut too, which is how a union shares one deduplication.
+    """
+    patterns = query.compiled_patterns()
+    answer_vars = query.answer_vars
+    if len(patterns) == 1:
+        item, slots = patterns[0]
+        positions: dict = {}
+        for position, (kind, value) in enumerate(slots):
+            if kind != "var" or value in positions:
+                break
+            positions[value] = position
+        else:
+            facts = instance.with_predicate(item.predicate)
+            if not answer_vars:
+                if facts:
+                    answers.add(())
+            elif len(answer_vars) == 1:
+                position = positions[answer_vars[0]]
+                answers.update([(fact.args[position],) for fact in facts])
+            else:
+                pick = itemgetter(*(positions[var] for var in answer_vars))
+                answers.update([pick(fact.args) for fact in facts])
+            return
+    _projection_search(patterns, instance, answer_vars, answers)
+
+
+def _projection_search(
+    patterns: Sequence[_Pattern],
+    instance: Instance,
+    answer_vars: tuple[Variable, ...],
+    answers: set,
+) -> None:
+    """:func:`_search` with the projection cut of :func:`project_answers`.
+
+    Frames are ``[pattern index, candidate iterator, keys bound by the
+    current candidate, answer variables still unbound at this level]``.
+    ``cut`` is the stack height of the level that bound the last answer
+    variable while an existence probe for ``row`` runs above it, else
+    ``-1``.  Facts are iterated straight from the instance's index sets:
+    nothing mutates the instance during the search.
+    """
+    depth_limit = len(patterns)
+    wanted = set(answer_vars)
+    assignment: dict = {}
+    used = [False] * depth_limit
+    stack: list[list] = []
+    row: tuple = ()
+    cut = -1
+    if not wanted:
+        if () in answers:
+            return
+        cut = 0
+    descend = True
+    while True:
+        if descend:
+            index, _, candidates = _fewest_candidates(
+                patterns, used, instance, assignment, None
+            )
+            used[index] = True
+            unbound = 0
+            if cut < 0:
+                fresh = {
+                    value
+                    for kind, value in patterns[index][1]
+                    if kind == "var" and value in wanted and value not in assignment
+                }
+                unbound = (stack[-1][3] if stack else len(wanted)) - len(fresh)
+            stack.append([index, iter(candidates), None, unbound])
+            descend = False
+            continue
+        frame = stack[-1]
+        index, candidates, added, unbound = frame
+        if added is not None:
+            for key in added:
+                del assignment[key]
+            frame[2] = None
+        pattern = patterns[index]
+        for fact in candidates:
+            bindings = _match(pattern, fact, assignment)
+            if bindings is not None:
+                break
+        else:
+            stack.pop()
+            used[index] = False
+            if len(stack) == cut:
+                cut = -1  # no witness for ``row``: resume at the cut
+            if not stack:
+                return
+            continue
+        if cut >= 0:
+            if len(stack) < depth_limit:
+                assignment.update(bindings)
+                frame[2] = tuple(bindings)
+                descend = True
+                continue
+            # A witness: record the row and unwind to the cut.
+            answers.add(row)
+            while len(stack) > cut:
+                popped = stack.pop()
+                used[popped[0]] = False
+                if popped[2] is not None:
+                    for key in popped[2]:
+                        del assignment[key]
+            cut = -1
+            if not stack:
+                return
+            continue
+        assignment.update(bindings)
+        frame[2] = tuple(bindings)
+        if unbound:
+            descend = True
+            continue
+        row = tuple([assignment[var] for var in answer_vars])
+        if row in answers:
+            continue
+        if len(stack) == depth_limit:
+            answers.add(row)
+            continue
+        cut = len(stack)
+        descend = True
 
 
 def consistent_binding(

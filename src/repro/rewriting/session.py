@@ -13,7 +13,9 @@ Cache keys:
 
 * **query shape** — the query canonicalized by renaming variables in
   first-occurrence order (answer variables first), so alpha-equivalent
-  queries with identical atom order share one prepared rewriting;
+  queries with identical atom order share one prepared rewriting.
+  ``answer()`` canonicalizes once and hands the shape to every cache it
+  consults;
 * **instance content** — the frozenset of facts, so two instances with
   the same atoms share one materialization.  The SQL and columnar stores
   are keyed by :func:`~repro.storage.base.instance_digest`, which the
@@ -23,7 +25,7 @@ Cache keys:
 * **compiled SQL** — with ``strategy="sql"`` the session keeps a
   :class:`~repro.storage.sqlite.SQLiteStore` (at ``db_path``, or
   in-memory) and caches each shape's rewriting *compiled to SQL*, keyed
-  by :func:`repro.logic.serialize.dump_query` of the canonical shape.
+  by the canonical shape itself, like the rewriting cache.
   Reloading a different instance clears the compiled cache (compilation
   prunes disjuncts against the store's predicates and constants) but
   keeps the term dictionary and tables.  The session never clears facts
@@ -154,7 +156,10 @@ class OMQASession:
         shape variables; ``answer()`` evaluates via the shape, so answer
         tuples are unaffected.
         """
-        shape = query_shape(query)
+        return self._prepare_shape(query_shape(query))
+
+    def _prepare_shape(self, shape: ConjunctiveQuery) -> RewritingResult:
+        """:meth:`prepare` for a query already in :func:`query_shape` form."""
         with self._lock:
             cached = self._rewritings.get(shape)
             if cached is not None:
@@ -349,27 +354,28 @@ class OMQASession:
     def compile_sql(self, query: ConjunctiveQuery, instance: Instance):
         """The (cached) SQL compilation of this shape's rewriting.
 
-        The cache key is :func:`~repro.logic.serialize.dump_query` of the
-        canonical shape — the serialization satellite exists so this key
-        is stable text, not object identity.  Raises when the rewriting
-        is incomplete (there is nothing sound to compile).
+        The cache key is the canonical :func:`query_shape` itself, a
+        value-hashed query like the rewriting cache's key.  Raises when
+        the rewriting is incomplete (there is nothing sound to compile).
         """
-        from ..logic.serialize import dump_query
+        return self._compile_shape(query_shape(query), instance)
+
+    def _compile_shape(self, shape: ConjunctiveQuery, instance: Instance):
+        """:meth:`compile_sql` for a query already in shape form."""
         from ..storage.sqlcompile import compile_ucq
 
         with self._lock:
-            prepared = self.prepare(query)
+            prepared = self._prepare_shape(shape)
             if not prepared.complete:
                 raise RuntimeError("rewriting incomplete; cannot answer soundly")
             store = self._loaded_store(instance)
-            key = dump_query(query_shape(query))
-            cached = self._compiled_sql.get(key)
+            cached = self._compiled_sql.get(shape)
             if cached is not None:
                 self.stats.counters["session.sql_compile_hits"] += 1
                 return cached
             self.stats.counters["session.sql_compile_misses"] += 1
             compiled = compile_ucq(prepared.ucq, store)
-            self._compiled_sql[key] = compiled
+            self._compiled_sql[shape] = compiled
             return compiled
 
     # ------------------------------------------------------------------
@@ -401,13 +407,13 @@ class OMQASession:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         shape = query_shape(query)
         if strategy != "materialize":
-            prepared = self.prepare(query)
+            prepared = self._prepare_shape(shape)
             if prepared.complete:
                 return _finish_rewriting(
                     prepared,
                     shape,
                     instance,
-                    self._evaluate(prepared, query, instance, strategy),
+                    self._evaluate(prepared, shape, instance, strategy),
                     lambda: self._materialized_answers(shape, instance),
                 )
             if strategy == "rewrite":
@@ -417,7 +423,7 @@ class OMQASession:
     def _evaluate(
         self,
         prepared: RewritingResult,
-        query: ConjunctiveQuery,
+        shape: ConjunctiveQuery,
         instance: Instance,
         strategy: str,
     ) -> set[tuple[Term, ...]]:
@@ -439,7 +445,7 @@ class OMQASession:
             # was compiled for, so load + execute must not interleave
             # with a concurrent reload.
             with self._lock:
-                compiled = self.compile_sql(query, instance)
+                compiled = self._compile_shape(shape, instance)
                 return execute_compiled(compiled, self.store())
         return evaluate_ucq(prepared.ucq, instance)
 

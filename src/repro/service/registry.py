@@ -227,8 +227,9 @@ class TheoryEntry:
         # the only session call, so reads share the rewriting cache but
         # never serialize on store loading.
         prepared = self.session.prepare(query)
-        shape = query_shape(query)
-        target = prepared.ucq if prepared.complete else UnionOfCQs((shape,))
+        target = (
+            prepared.ucq if prepared.complete else UnionOfCQs((query_shape(query),))
+        )
         return _base_restricted(
             evaluate_ucq_sql(target, self._reader_store()), self.base
         )

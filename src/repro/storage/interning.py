@@ -22,8 +22,8 @@ equal facts produce equal digests regardless of backend.
 
 :class:`TermInterningMixin` implements the shared surface
 (``intern_term``/``intern_function``/``function_parts``/``term_id``/
-``term_by_id``/``display_of``) over three storage primitives a
-concrete store provides:
+``term_by_id``/``decode_rows``/``display_of``) over three storage
+primitives a concrete store provides:
 
 ``_dict_lookup(kind, payload)``
     the id of an existing entry, or ``None``;
@@ -42,6 +42,7 @@ primitives; ``_trim_term_cache`` lets a durable backend bound them
 from __future__ import annotations
 
 import json
+from typing import Collection
 
 from ..logic.terms import Constant, FunctionTerm, Term, Variable
 
@@ -206,6 +207,23 @@ class TermInterningMixin:
         self._trim_term_cache(self._terms_by_id)
         self._terms_by_id[term_id] = term
         return term
+
+    def decode_rows(
+        self, rows: "Collection[tuple[int, ...]]"
+    ) -> "set[tuple[Term, ...]]":
+        """The term tuples of id rows of one arity (query answers).
+
+        When every id is cached the rows decode with dictionary lookups
+        only; otherwise the whole batch goes through :meth:`term_by_id`,
+        which fills the cache and keeps it bounded.
+        """
+        cached = self._terms_by_id.__getitem__
+        try:
+            if len(next(iter(rows), ())) == 1:
+                return {(cached(row[0]),) for row in rows}
+            return {tuple(map(cached, row)) for row in rows}
+        except KeyError:
+            return {tuple(map(self.term_by_id, row)) for row in rows}
 
     def display_of(self, term_id: int) -> str:
         """The repr text of a term id, served from the dictionary."""

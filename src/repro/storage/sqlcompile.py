@@ -191,7 +191,8 @@ def execute_compiled(
 
     Boolean queries probe disjunct by disjunct and stop at the first
     witness; non-boolean queries run as one UNION statement so the
-    cross-disjunct deduplication happens inside SQLite too.
+    cross-disjunct deduplication happens inside SQLite too; its rows are
+    fetched in one call and decoded by the store's ``decode_rows``.
     """
     store.flush()
     counters = store.stats.counters
@@ -205,11 +206,9 @@ def execute_compiled(
                 return {()}
         return set()
     sql, params = compiled.union_sql()
-    answers: set[tuple[Term, ...]] = set()
-    for row in store._select(sql, params):
-        counters["store.rows_scanned"] += 1
-        answers.add(tuple(store.term_by_id(term_id) for term_id in row))
-    return answers
+    rows = store._select(sql, params).fetchall()
+    counters["store.rows_scanned"] += len(rows)
+    return store.decode_rows(rows)
 
 
 def evaluate_ucq_sql(

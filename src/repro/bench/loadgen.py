@@ -17,12 +17,11 @@ from different clients never collide) and otherwise a query, rotating
 through :data:`QUERIES` and the three backends.  Appends change answers
 mid-run — interleaved responses are only checked for HTTP success —
 but the *final* state is unique regardless of interleaving, which is
-what the digest comparison (and the ``service_load`` guard scenario)
-pins.
+what the digest comparison (and ``tests/test_service.py``) pins.
 
-Latency numbers are hardware- and scheduler-dependent: the guard
-records them in uncompared ``meta["service"]``; only request counts,
-error counts and the final digests are compared against baselines.
+Latency numbers are hardware- and scheduler-dependent, so tests check
+only request counts, error counts, the compile count and the final
+digests.
 """
 
 from __future__ import annotations

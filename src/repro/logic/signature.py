@@ -28,7 +28,9 @@ class Predicate:
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ValueError(f"negative arity for predicate {self.name}")
-        object.__setattr__(self, "_hash", hash((Predicate, self.name, self.arity)))
+        # A string tag, not the class, so the hash is the same in every
+        # process (see ``Variable`` in ``terms.py``).
+        object.__setattr__(self, "_hash", hash(("p", self.name, self.arity)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -47,7 +47,11 @@ class Variable(Term):
     _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((Variable, self.name)))
+        # A string tag, not the class: a class hashes by its id, which
+        # moves with each process's memory layout, so every set and dict
+        # order built from terms would differ between runs even under a
+        # fixed PYTHONHASHSEED.
+        object.__setattr__(self, "_hash", hash(("v", self.name)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -73,7 +77,7 @@ class Constant(Term):
     _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((Constant, self.name)))
+        object.__setattr__(self, "_hash", hash(("c", self.name)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -110,7 +114,7 @@ class FunctionTerm(Term):
         # Child hashes are already cached, so this is O(arity), not a
         # re-walk of the whole Skolem tree — deep chase terms made the
         # recursive dataclass hash the hottest frame on cyclic workloads.
-        object.__setattr__(self, "_hash", hash((FunctionTerm, self.functor, self.args)))
+        object.__setattr__(self, "_hash", hash(("f", self.functor, self.args)))
 
     def __hash__(self) -> int:
         return self._hash

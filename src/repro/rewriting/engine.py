@@ -144,8 +144,8 @@ class RewritingBudget:
     # subsumption scans and rule relevance filtering.  The kept set and
     # the step/produced/evicted counters are identical either way (the
     # filters only skip provably-failing work); only the check/skip
-    # accounting differs.  The bench guard measures naive-vs-indexed on
-    # exactly this switch.
+    # accounting differs.  tests/test_rewriting_fastpath.py compares
+    # naive against indexed on exactly this switch.
     use_indexes: bool = True
 
 

@@ -150,83 +150,56 @@ class TestRunGuardScenarios:
         assert report.ok
 
 
-class TestColumnarEquivalenceScenario:
+class TestFaultToleranceScenario:
     def test_scenario_registered(self):
         from repro.bench.guard import SCENARIOS
 
-        assert "columnar_equivalence" in [s.name for s in SCENARIOS]
+        # Three anchored timing scenarios plus the fault-tolerance
+        # tripwire; engine equivalences are pinned by the test suite.
+        assert [s.name for s in SCENARIOS] == [
+            "e1_doubling",
+            "e5_tc_cycles",
+            "micro_core_ops",
+            "fault_tolerance",
+        ]
 
-    def test_quick_run_is_identical_and_checksummed(self):
+    def test_quick_run_is_exact_and_checksummed(self):
         from repro.bench.guard import SCENARIOS
 
-        scenario = next(s for s in SCENARIOS if s.name == "columnar_equivalence")
+        scenario = next(s for s in SCENARIOS if s.name == "fault_tolerance")
         value = scenario.run(True)
-        assert value["identical"] is True
-        assert value["counters_equal"] is True
+        assert value["instrumented_identical"] is True
+        assert value["cancelled_counted"] is True
+        assert value["resume_exact"] is True
+        assert value["lock_retried"] is True
         assert value["atoms"] > 0
         assert len(value["checksum"]) == 16
 
-    def test_meta_records_speedup_not_value(self):
+    def test_meta_records_overhead_not_value(self):
         from repro.bench.guard import SCENARIOS
 
-        scenario = next(s for s in SCENARIOS if s.name == "columnar_equivalence")
+        scenario = next(s for s in SCENARIOS if s.name == "fault_tolerance")
         document = run_guard_scenarios(quick=True, repeats=1, scenarios=(scenario,))
         validate_bench_document(document)
-        columnar = document["meta"]["columnar"]
-        assert columnar["object_seconds"] > 0
-        assert columnar["columnar_seconds"] > 0
-        # The compared value stays kernel-independent: no timing in it.
+        faults = document["meta"]["faults"]
+        assert faults["plain_seconds"] > 0
+        assert faults["instrumented_seconds"] > 0
+        assert faults["overhead_ratio"] > 0
+        # The compared value stays timing-free.
         entry = document["scenarios"][0]
         assert set(entry["value"]) == {
             "atoms",
-            "identical",
-            "counters_equal",
+            "instrumented_identical",
+            "cancelled_counted",
+            "resume_exact",
+            "lock_retried",
             "checksum",
         }
 
     def test_meta_absent_without_the_scenario(self):
         toy = (Scenario("toy", "constant checksum", lambda quick: 42),)
         document = run_guard_scenarios(quick=True, repeats=1, scenarios=toy)
-        assert "columnar" not in document["meta"]
-
-
-class TestRewritingSaturationScenario:
-    def test_scenario_registered(self):
-        from repro.bench.guard import SCENARIOS
-
-        assert "rewriting_saturation" in [s.name for s in SCENARIOS]
-
-    def test_quick_run_pins_output_and_parity(self):
-        from repro.bench.guard import SCENARIOS
-
-        scenario = next(s for s in SCENARIOS if s.name == "rewriting_saturation")
-        value = scenario.run(True)
-        assert value["e3"]["naive_equal"] is True
-        assert value["a3"]["naive_equal"] is True
-        assert value["a3"]["disjuncts"] > 0
-        assert len(value["a3"]["checksum"]) == 16
-        # The index actually engaged on the a3 workload.
-        assert value["a3"]["dedup_hits"] > 0
-        assert value["a3"]["subsumption_skipped"] > 0
-        assert value["a3"]["rules_skipped"] > 0
-
-    def test_meta_records_speedup_not_value(self):
-        from repro.bench.guard import SCENARIOS
-
-        scenario = next(s for s in SCENARIOS if s.name == "rewriting_saturation")
-        document = run_guard_scenarios(quick=True, repeats=1, scenarios=(scenario,))
-        validate_bench_document(document)
-        rewriting = document["meta"]["rewriting"]
-        assert rewriting["naive_seconds"] > 0
-        assert rewriting["indexed_seconds"] > 0
-        # The compared value stays timing-free.
-        entry = document["scenarios"][0]
-        assert set(entry["value"]) == {"e3", "a3"}
-
-    def test_meta_absent_without_the_scenario(self):
-        toy = (Scenario("toy", "constant checksum", lambda quick: 42),)
-        document = run_guard_scenarios(quick=True, repeats=1, scenarios=toy)
-        assert "rewriting" not in document["meta"]
+        assert "faults" not in document["meta"]
 
 
 class TestBaselinePaths:

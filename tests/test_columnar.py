@@ -19,6 +19,7 @@ from repro.chase import ChaseBudget, chase, resume
 from repro.chase.columnar_kernel import evaluate_ucq_columnar
 from repro.logic import parse_instance, parse_query, parse_theory
 from repro.logic.containment import evaluate_ucq
+from repro.logic.signature import Predicate
 from repro.rewriting import OMQASession, answer, rewrite
 from repro.rewriting.engine import RewritingBudget
 from repro.storage import (
@@ -113,6 +114,23 @@ class TestRoundEquivalence:
             seed=20260805,
         )
         assert_columnar_identical(theory, base, rounds=4)
+
+    def test_dense_transitive_closure(self):
+        # The workload the kernel exists for: matches outnumber new atoms
+        # by two orders of magnitude.  Its fixpoint is also checked
+        # against the closure computed directly over the edge pairs.
+        theory = parse_theory("E(x, y), E(y, z) -> E(x, z)")
+        edge = Predicate("E", 2)
+        base = random_instance([edge], fact_count=80, domain_size=24, seed=20260808)
+        result = assert_columnar_identical(theory, base, rounds=20)
+        closure = {item.args for item in base}
+        while True:
+            joined = {(x, z) for x, y in closure for w, z in closure if y == w}
+            if joined <= closure:
+                break
+            closure |= joined
+        assert result.terminated
+        assert {item.args for item in result.instance} == closure
 
     def test_columnar_is_the_default_backend(self):
         result = chase(t_p(), edge_path(3), budget=ChaseBudget(max_rounds=3))

@@ -3,6 +3,12 @@ store-backed counterpart ``update_store_chase``."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -619,3 +625,60 @@ class TestStoreUpdates:
             assert counters["delta.rounds"] >= 1
             assert fact("E(a, c).") in store
             assert store.digest() == scratch_digest(TC, set(base) - {fact("E(a, b).")})
+
+
+# ----------------------------------------------------------------------
+# Reproducible search work
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Moves four edges of a chorded 8-cycle out and back under TC, then
+# prints the hash of one constant and the summed ``hom.*`` counters.
+# The source tree comes in as argv[1].
+UPDATE_WORKLOAD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro import incremental_update
+from repro.chase import ChaseBudget, chase
+from repro.logic import Constant, parse_instance, parse_theory
+
+theory = parse_theory(
+    "E(x, y), E(y, z) -> E(x, z)\\n"
+    "E(x, y) -> exists m. M(x, m)\\n"
+    "M(x, m) -> H(x)"
+)
+edges = [f"E(n{i}, n{(i + 1) % 8})" for i in range(8)]
+edges += [f"E(n{i}, n{(i * 5 + 2) % 8})" for i in range(0, 8, 3)]
+base = parse_instance(". ".join(edges))
+budget = ChaseBudget(max_rounds=40, max_atoms=200_000)
+run = chase(theory, base, budget=budget)
+hom = {}
+for moved in sorted(base, key=repr)[:4]:
+    for change in ({"retract": [moved]}, {"add": [moved]}):
+        outcome = incremental_update(run, budget=budget, **change)
+        run = outcome.result
+        for name, count in outcome.stats.counters.items():
+            if name.startswith("hom."):
+                hom[name] = hom.get(name, 0) + count
+print(json.dumps({"hash": hash(Constant("a")), "hom": hom}, sort_keys=True))
+"""
+
+
+def test_update_search_work_is_reproducible_across_processes():
+    """Same hash seed, same ``hom.*`` counters: term hashes are process-free."""
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    reports = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", UPDATE_WORKLOAD, str(SRC)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    first, second = reports
+    assert first["hash"] == second["hash"]
+    assert first["hom"]["hom.candidates_scanned"] > 0
+    assert first["hom"] == second["hom"]

@@ -32,7 +32,11 @@ from repro.rewriting.canonical import (
 )
 from repro.rewriting.engine import _RULE_INDEX_CACHE, _theory_rules
 from repro.rewriting.unification import _UnionFind
-from repro.workloads.ontologies import MedicalWorkload
+from repro.workloads.ontologies import (
+    GeographyWorkload,
+    MedicalWorkload,
+    StockWorkload,
+)
 from repro.workloads import (
     example42_tc,
     t_a,
@@ -53,12 +57,28 @@ def rewrite_counters(result) -> dict:
     }
 
 
+def merged_ontologies() -> Theory:
+    """Three DL-Lite-style ontologies as one theory.
+
+    Most rules are irrelevant to any one atom, and independent chains
+    reach isomorphic duplicates, so every filter layer engages.
+    """
+    workloads = (MedicalWorkload(), GeographyWorkload(), StockWorkload())
+    rules = [rule for workload in workloads for rule in workload.theory.rules()]
+    return Theory(tuple(rules), name="merged-ontologies")
+
+
 FIXTURE_CASES = (
     # e1-adjacent: T_a's mother/human loop (BDD, not core-terminating).
     (t_a, "q(x) := exists y. Mother(x, y)"),
     (t_a, "q(x) := exists y, z. Mother(x, y), Mother(y, z)"),
     # e3 shape: path queries over the linear theory T_p.
     (t_p, "q(x0) := exists x1, x2, x3. E(x0, x1), E(x1, x2), E(x2, x3)"),
+    (
+        t_p,
+        "q(x0) := exists x1, x2, x3, x4, x5, x6. E(x0, x1), E(x1, x2), "
+        "E(x2, x3), E(x3, x4), E(x4, x5), E(x5, x6)",
+    ),
     # T_c (Example 42): multi-head, multi-body rules.
     (example42_tc, "q(x) := exists y, x1, y1. R(x, y, x1, y1)"),
     (example42_tc, "q(x) := exists y. E(x, y)"),
@@ -66,6 +86,11 @@ FIXTURE_CASES = (
     (
         university_ontology,
         "q(x) := exists c, p, d. EnrolledIn(x, c), TaughtBy(c, p), MemberOf(p, d)",
+    ),
+    (
+        merged_ontologies,
+        "q(x, y, z) := exists c, r, s. "
+        "Diagnosed(x, c), LocatedIn(y, r), Owns(z, s)",
     ),
 )
 
@@ -135,6 +160,32 @@ class TestCounterPins:
         counters = rewrite_counters(result)
         assert counters["rewrite.dedup_hits"] == 9
         assert counters["rewrite.subsumption_skipped"] == 182
+
+    def test_disconnected_join_over_merged_ontologies(self):
+        """Three atoms sharing no variable rewrite independently, so the
+        kept set is the product of the atoms' own rewritings; most of
+        the merged rules are irrelevant to each atom."""
+        theory = merged_ontologies()
+        singles = (
+            "q(x) := exists c. Diagnosed(x, c)",
+            "q(y) := exists r. LocatedIn(y, r)",
+            "q(z) := exists s. Owns(z, s)",
+        )
+        sizes = [len(rewrite(theory, parse_query(text)).ucq) for text in singles]
+        result = rewrite(
+            theory,
+            parse_query(
+                "q(x, y, z) := exists c, r, s. "
+                "Diagnosed(x, c), LocatedIn(y, r), Owns(z, s)"
+            ),
+        )
+        assert sizes == [2, 4, 2]
+        assert len(result.ucq) == 2 * 4 * 2
+        counters = rewrite_counters(result)
+        assert counters["rewrite.rules_skipped"] == 464
+        assert counters["rewrite.subsumption_skipped"] == 240
+        assert counters["rewrite.subsumption_checks"] == 0
+        assert counters["rewrite.dedup_hits"] == 13
 
     def test_subsumption_skipped_counts_pruned_candidates(self):
         theory = t_a()

@@ -381,3 +381,33 @@ class TestEndToEnd:
         # Checkpointed on shutdown: the WAL is truncated into the db.
         wal = db_dir / f"{tid}.db-wal"
         assert not wal.exists() or wal.stat().st_size == 0
+
+
+class TestLoadgen:
+    def test_mixed_traffic_answers_like_a_fresh_session(self):
+        """Three clients, nine ops each (every third an append), four workers."""
+        from repro.bench.loadgen import QUERIES, expected_final_instance, run_loadgen
+
+        report = run_loadgen(clients=3, ops_per_client=9, append_every=3, workers=4)
+        assert report["clients"] == 3
+        assert report["requests"] == 27
+        assert report["ops"] == {"queries": 18, "appends": 9}
+        assert report["errors"] == 0, report["error_samples"]
+        # Single flight: one rewriting per distinct query shape, however
+        # many clients race for it.
+        assert report["rewrite_cache_misses"] == len(QUERIES)
+        assert report["digests_match"] is True
+        # The expected digests themselves, read straight off the final facts.
+        final = expected_final_instance(3, 9, 3)
+        enrolments = {
+            item.args for item in final if item.predicate.name == "EnrolledIn"
+        }
+        students = {(student,) for student, _ in enrolments}
+        professors = {
+            (item.args[1],) for item in final if item.predicate.name == "TaughtBy"
+        }
+        assert report["final_digests"] == {
+            "students": answers_digest(students),
+            "persons": answers_digest(students | professors),
+            "enrolments": answers_digest(enrolments),
+        }

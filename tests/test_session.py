@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro import OMQASession
@@ -334,10 +336,18 @@ class TestThreadSafety:
         threads = [
             threading.Thread(target=worker) for _ in range(self.THREADS)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # A short switch interval lets a thread be preempted inside a
+        # sub-millisecond compile, so a lost single-flight race shows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not failures
         return session
 

@@ -321,3 +321,8 @@ class TestStoreChase:
             assert outcome.digest() == content_digest(reference.instance)
             for round_ in range(outcome.rounds_run + 1):
                 assert handle.atoms_in_round(round_) == reference.round_added[round_]
+            # SQL over the chased facts, Skolem terms included, answers
+            # like the in-memory evaluator over the in-memory chase.
+            probe = parse_query("q(x, y) := exists x1, y1. R(x, y, x1, y1)")
+            in_sql = evaluate_ucq_sql(probe, handle)
+            assert in_sql and in_sql == evaluate(probe, reference.instance)

@@ -6,10 +6,12 @@ answers from a materialized chase in RAM.  Randomized linear worlds
 (same generators as ``test_fuzz_linear.py``) drive four pinned
 equalities per seed:
 
-* ``answer(..., backend="sqlite")`` == ``answer_by_materialization``;
+* ``answer(..., backend="sqlite")`` == ``answer_by_materialization``
+  (plus a query constant over a cycle, whose one answer is known);
 * ``OMQASession.answer(strategy="sql")`` == ``strategy="rewrite"``;
 * SQL evaluation of the rewriting == in-memory evaluation of the same
-  rewriting over the same base facts;
+  rewriting over the same base facts (plus the Theorem 5B process
+  rewriting of ``phi_r_n(2)``, whose answers are known exactly);
 * the store's content digest == the instance's digest (round-trip
   identity through the term dictionary and back).
 
@@ -23,7 +25,11 @@ import random
 
 import pytest
 
+from repro.frontier.process import run_process
+from repro.frontier.td import phi_r_n
+from repro.logic import parse_query, parse_theory
 from repro.logic.containment import evaluate_ucq
+from repro.logic.terms import Constant
 from repro.rewriting import (
     OMQASession,
     RewritingBudget,
@@ -33,6 +39,7 @@ from repro.rewriting import (
 )
 from repro.rewriting.bdd import depth_bound_from_rewriting
 from repro.storage import SQLiteStore, content_digest, evaluate_ucq_sql
+from repro.workloads import edge_cycle, green_path
 from tests.test_fuzz_linear import (
     random_instance,
     random_linear_theory,
@@ -47,9 +54,25 @@ def _world(seed: int):
     return random_linear_theory(rng), random_instance(rng), random_query(rng)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_sqlite_backend_matches_materialization(seed):
-    theory, instance, query = _world(seed)
+def _constant_on_cycle():
+    """A query constant over an E-cycle whose chase never terminates.
+
+    ``a0``'s only ``R``-successor is ``a1``, so that is the one answer.
+    """
+    theory = parse_theory(
+        "E(x, y) -> exists z. E(y, z)\nE(x, y) -> R(x, y)", name="linear-cycle"
+    )
+    query = parse_query("q(u) := R('a0', u)")
+    return theory, edge_cycle(12), query, {(Constant("a1"),)}
+
+
+@pytest.mark.parametrize("case", [*range(6), "constant-on-cycle"])
+def test_sqlite_backend_matches_materialization(case):
+    if case == "constant-on-cycle":
+        theory, instance, query, expected = _constant_on_cycle()
+    else:
+        theory, instance, query = _world(case)
+        expected = None
     prepared = rewrite(theory, query, BUDGET)
     if not prepared.complete:
         pytest.skip("rewriting truncated under the fuzz budget")
@@ -58,7 +81,9 @@ def test_sqlite_backend_matches_materialization(seed):
     depth = depth_bound_from_rewriting(theory, query, BUDGET)
     by_chase = answer_by_materialization(theory, query, instance, depth=depth)
     by_sqlite = answer(theory, query, instance, backend="sqlite")
-    assert by_sqlite == by_chase, f"seed={seed}\n{theory}\n{instance}\n{query}"
+    assert by_sqlite == by_chase, f"case={case}\n{theory}\n{instance}\n{query}"
+    if expected is not None:
+        assert by_sqlite == expected
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -79,17 +104,33 @@ def test_session_sql_strategy_matches_rewrite(seed):
         session.close()
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_sql_ucq_evaluation_matches_memory(seed):
-    theory, instance, query = _world(200 + seed)
-    prepared = rewrite(theory, query, BUDGET)
-    if not prepared.complete:
-        pytest.skip("rewriting truncated under the fuzz budget")
-    in_memory = evaluate_ucq(prepared.ucq, instance)
+def _process_case():
+    """The Theorem 5B process rewriting of ``phi_r_n(2)`` over ``green_path(8)``.
+
+    Its answers are the pairs of path nodes ``2**2`` green edges apart.
+    """
+    expected = {(Constant(f"a{i}"), Constant(f"a{i + 4}")) for i in range(5)}
+    return run_process(phi_r_n(2)).rewriting(), green_path(8), expected
+
+
+@pytest.mark.parametrize("case", [*range(6), "e1-process"])
+def test_sql_ucq_evaluation_matches_memory(case):
+    if case == "e1-process":
+        ucq, instance, expected = _process_case()
+    else:
+        theory, instance, query = _world(200 + case)
+        prepared = rewrite(theory, query, BUDGET)
+        if not prepared.complete:
+            pytest.skip("rewriting truncated under the fuzz budget")
+        ucq, expected = prepared.ucq, None
+    in_memory = evaluate_ucq(ucq, instance)
     with SQLiteStore(":memory:") as store:
         store.add_many(instance)
-        in_sql = evaluate_ucq_sql(prepared.ucq, store)
-    assert in_sql == in_memory, f"seed={seed}\n{theory}\n{instance}\n{query}"
+        assert store.digest() == content_digest(instance)
+        in_sql = evaluate_ucq_sql(ucq, store)
+    assert in_sql == in_memory, f"case={case}\n{ucq}\n{instance}"
+    if expected is not None:
+        assert in_memory == expected
 
 
 def test_answer_sqlite_guards_prepopulated_db(tmp_path):

@@ -21,7 +21,19 @@ Cache keys:
   are keyed by :func:`~repro.storage.base.instance_digest`, which the
   instance caches until an ``add``/``discard`` changes its facts, so the
   store-reload check over an unchanged instance costs O(1) and an
-  in-place mutation is still seen (one O(n) digest, then a reload);
+  in-place mutation is still seen (one O(n) digest, then a reload).
+  ``add_facts``/``retract_facts`` cost the change instead: the updated
+  instance gets its digest derived from its parent's sorted fact reprs
+  (:func:`~repro.storage.base.derive_digest`), and the update is
+  recorded as a step between the two digests.  The columnar store
+  replays recorded steps from the content it holds to the content it is
+  asked for (a ``session.columnar_delta_hits`` hit) and reloads only
+  when no chain of steps connects them.  Replay is lazy, so readers of
+  the old instance keep hitting until the new one is asked for, and a
+  replay keeps only the chain it walked, so a late reader of the old
+  content walks it back.  The steps are dropped on a reload, and as
+  soon as they carry more facts than the store holds (a reload is then
+  no dearer);
 * **compiled SQL** — with ``strategy="sql"`` the session keeps a
   :class:`~repro.storage.sqlite.SQLiteStore` (at ``db_path``, or
   in-memory) and caches each shape's rewriting *compiled to SQL*, keyed
@@ -145,6 +157,13 @@ class OMQASession:
         self._compiled_sql: dict = {}
         self._columnar_store = None
         self._columnar_digest: "str | None" = None
+        # Recorded updates between content digests, both directions:
+        # digest -> [(other digest, facts to add, facts to remove)].
+        self._columnar_steps: dict[str, list[tuple[str, frozenset, frozenset]]] = {}
+        self._columnar_step_facts = 0
+        # Sorted fact reprs of the latest derived content and its parent,
+        # by digest: what derive_digest needs for the next update.
+        self._reprs: dict[str, list[str]] = {}
 
     # ------------------------------------------------------------------
     # Prepared artifacts
@@ -223,8 +242,9 @@ class OMQASession:
         delta round over the added facts — and cached under the updated
         content key, so the next ``answer()`` against the updated
         instance pays no chase at all.  The SQL/columnar store caches
-        stay digest-keyed: they reload lazily, and only when the
-        instance content actually changed.
+        stay digest-keyed: the updated instance's digest is derived from
+        the change, and the columnar store applies the change the first
+        time the updated instance is asked for (the SQL store reloads).
         """
         return self._update(instance, add=facts)
 
@@ -248,13 +268,15 @@ class OMQASession:
         add = frozenset(add)
         retract = frozenset(retract)
         updated = instance.copy()
-        for item in retract:
-            updated.discard(item)
-        for item in add:
-            updated.add(item)
-        new_key = updated.atoms()
+        # The change as applied, removals first: a fact retracted and
+        # added back is in both sets.
+        removed = {item for item in retract if updated.discard(item)}
+        added = {item for item in add if updated.add(item)}
         with self._lock:
-            cached = self._chases.get(instance.atoms())
+            cached = None
+            if self._chases:
+                new_key = updated.atoms()
+                cached = self._chases.get(instance.atoms())
             if (
                 cached is not None
                 and cached.terminated
@@ -272,7 +294,68 @@ class OMQASession:
                 self.stats.merge(outcome.stats)
                 if outcome.result.terminated:
                     self._chases[new_key] = outcome.result
+            if added or removed:
+                self._record_step(instance, updated, added, removed)
         return updated
+
+    def _record_step(
+        self, instance: Instance, updated: Instance, added: set, removed: set
+    ) -> None:
+        """Derive ``updated``'s digest and record the step for the
+        columnar store (under the lock)."""
+        from ..storage.base import derive_digest, sorted_reprs
+
+        parent = instance._digest
+        reprs = self._reprs.get(parent) if parent is not None else None
+        if reprs is None:
+            reprs = sorted_reprs(instance)
+            parent = instance._digest
+        derived = derive_digest(updated, reprs, added, removed)
+        digest = updated._digest
+        self._reprs = {parent: reprs, digest: derived}
+        if self._columnar_digest is not None:
+            self._link(parent, digest, frozenset(added), frozenset(removed))
+
+    def _link(
+        self, source: str, target: str, added: frozenset, removed: frozenset
+    ) -> None:
+        """Record one step, walkable both ways; drop every step once
+        they carry more facts than the columnar store holds."""
+        self._columnar_steps.setdefault(source, []).append((target, added, removed))
+        self._columnar_steps.setdefault(target, []).append((source, removed, added))
+        self._columnar_step_facts += len(added) + len(removed)
+        if self._columnar_step_facts > len(self._columnar_store):
+            self._drop_columnar_steps()
+
+    def _drop_columnar_steps(self) -> None:
+        self._columnar_steps.clear()
+        self._columnar_step_facts = 0
+
+    def _columnar_path(self, target: str) -> "list[tuple] | None":
+        """The recorded steps from the columnar store's content to
+        ``target`` in order, as ``(source, target, added, removed)``;
+        None when no chain of steps connects them."""
+        source = self._columnar_digest
+        if source is None or target not in self._columnar_steps:
+            return None
+        reached: dict[str, "tuple | None"] = {source: None}
+        frontier = [source]
+        while frontier and target not in reached:
+            following = []
+            for node in frontier:
+                for other, added, removed in self._columnar_steps.get(node, ()):
+                    if other not in reached:
+                        reached[other] = (node, other, added, removed)
+                        following.append(other)
+            frontier = following
+        if target not in reached:
+            return None
+        path = []
+        while reached[target] is not None:
+            path.append(reached[target])
+            target = reached[target][0]
+        path.reverse()
+        return path
 
     def store(self):
         """The session's :class:`~repro.storage.sqlite.SQLiteStore`.
@@ -331,25 +414,46 @@ class OMQASession:
         """The session's :class:`~repro.storage.columnar.ColumnarStore`
         holding exactly ``instance``'s facts.
 
-        Content-keyed like :meth:`_loaded_store`; a reload keeps the term
-        dictionary (interning is append-only) and only repopulates the
-        per-predicate tuple stores.
+        Content-keyed like :meth:`_loaded_store`.  When recorded update
+        steps lead from the held content to ``instance``'s, they are
+        replayed (a delta hit); otherwise the store reloads, keeping the
+        term dictionary (interning is append-only) and only
+        repopulating the per-predicate tuple stores.
         """
         from ..storage.base import instance_digest
         from ..storage.columnar import ColumnarStore
 
         with self._lock:
-            if self._columnar_store is None:
-                self._columnar_store = ColumnarStore(telemetry=self.stats)
+            store = self._columnar_store
+            if store is None:
+                store = self._columnar_store = ColumnarStore(telemetry=self.stats)
             digest = instance_digest(instance)
-            if digest != self._columnar_digest:
-                self.stats.counters["session.columnar_load_misses"] += 1
-                self._columnar_store.clear_facts()
-                self._columnar_store.add_many(instance)
-                self._columnar_digest = digest
-            else:
+            if digest == self._columnar_digest:
                 self.stats.counters["session.columnar_load_hits"] += 1
-            return self._columnar_store
+                return store
+            path = self._columnar_path(digest)
+            # Unset while the store changes, so a failure part-way
+            # forces a reload rather than a hit on half-applied content.
+            self._columnar_digest = None
+            if path is None:
+                self.stats.counters["session.columnar_load_misses"] += 1
+                self._drop_columnar_steps()
+                store.clear_facts()
+                store.add_many(instance)
+            else:
+                self.stats.counters["session.columnar_delta_hits"] += 1
+                for _, _, added, removed in path:
+                    for item in removed:
+                        store.discard(item)
+                    if added:
+                        store.add_many(added)
+                # Keep only the chain just replayed: a reader still on
+                # the old content walks it back, later writes extend it.
+                self._drop_columnar_steps()
+                for step in path:
+                    self._link(*step)
+            self._columnar_digest = digest
+            return store
 
     def compile_sql(self, query: ConjunctiveQuery, instance: Instance):
         """The (cached) SQL compilation of this shape's rewriting.
@@ -469,8 +573,9 @@ class OMQASession:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, dict[str, int]]:
-        """Hits, misses and entries per cache; hits and misses are the
-        ``session.*`` counters in ``stats``."""
+        """Hits, misses and entries per cache, plus the columnar store's
+        ``delta_hits`` (loads served by replaying recorded updates); all
+        are read from the ``session.*`` counters in ``stats``."""
         counters = self.stats.counters
 
         def info(counter: str, entries: int) -> dict[str, int]:
@@ -485,9 +590,13 @@ class OMQASession:
                 "rewriting": info("rewrite_cache", len(self._rewritings)),
                 "chase": info("chase_cache", len(self._chases)),
                 "sql": info("sql_compile", len(self._compiled_sql)),
-                "columnar": info(
-                    "columnar_load", 1 if self._columnar_digest is not None else 0
-                ),
+                "columnar": {
+                    **info(
+                        "columnar_load",
+                        1 if self._columnar_digest is not None else 0,
+                    ),
+                    "delta_hits": counters.get("session.columnar_delta_hits", 0),
+                },
             }
 
     def clear(self) -> None:
@@ -500,6 +609,8 @@ class OMQASession:
             if self._sql_store is not None:
                 self._sql_store.clear_facts()
             self._columnar_digest = None
+            self._drop_columnar_steps()
+            self._reprs.clear()
             if self._columnar_store is not None:
                 self._columnar_store.clear_facts()
 
@@ -515,6 +626,7 @@ class OMQASession:
                 self._columnar_store.close()
                 self._columnar_store = None
                 self._columnar_digest = None
+                self._drop_columnar_steps()
 
     def __repr__(self) -> str:
         info = self.cache_info()

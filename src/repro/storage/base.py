@@ -23,11 +23,15 @@ Content identity across backends is a :func:`content_digest`: the
 sha256 of the sorted fact reprs, truncated exactly like the bench
 guard's instance checksums — an :class:`Instance` and its store
 round-trip digest-compare equal, whichever backend holds the facts.
+A holder of an instance's sorted reprs (:func:`sorted_reprs`) derives
+the digest of an updated instance in O(change) with
+:func:`derive_digest`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
@@ -46,7 +50,13 @@ def content_digest(atoms: Iterable[Atom] | Iterable[str]) -> str:
     instance checksums, so digests are comparable across the guard
     baselines, ``Instance`` contents and every store backend.
     """
-    rendered = sorted(item if isinstance(item, str) else repr(item) for item in atoms)
+    return digest_of_sorted(
+        sorted(item if isinstance(item, str) else repr(item) for item in atoms)
+    )
+
+
+def digest_of_sorted(rendered: list[str]) -> str:
+    """:func:`content_digest` of fact reprs that are already sorted."""
     return hashlib.sha256("\n".join(rendered).encode("utf8")).hexdigest()[:16]
 
 
@@ -62,6 +72,41 @@ def instance_digest(instance: Instance) -> str:
     if digest is None:
         digest = instance._digest = content_digest(instance)
     return digest
+
+
+def sorted_reprs(instance: Instance) -> list[str]:
+    """The sorted fact reprs :func:`content_digest` hashes.
+
+    Caches their digest on the instance, like :func:`instance_digest`.
+    """
+    rendered = sorted(repr(item) for item in instance)
+    instance._digest = digest_of_sorted(rendered)
+    return rendered
+
+
+def derive_digest(
+    updated: Instance,
+    reprs: list[str],
+    added: Iterable[Atom],
+    removed: Iterable[Atom],
+) -> list[str]:
+    """``updated``'s sorted reprs, derived from its parent's; caches its digest.
+
+    ``reprs`` are the parent's :func:`sorted_reprs`, and ``updated`` is
+    the parent minus ``removed`` (facts it held), then plus ``added``
+    (facts that were missing).  The parent's list is left as it was: a
+    copy is edited by bisection, one repr per changed fact, and hashed
+    once — O(change) edits plus one sha256 instead of rendering and
+    sorting every fact, and byte-identical to :func:`content_digest` of
+    ``updated``.
+    """
+    rendered = reprs.copy()
+    for item in removed:
+        del rendered[bisect_left(rendered, repr(item))]
+    for item in added:
+        insort(rendered, repr(item))
+    updated._digest = digest_of_sorted(rendered)
+    return rendered
 
 
 @runtime_checkable

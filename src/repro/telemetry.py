@@ -56,10 +56,13 @@ session.chase_cache_hits / session.chase_cache_misses``
     counters also certify single-flight compilation (one miss per
     shape, racing requests counted as hits);
 ``session.columnar_load_hits / session.columnar_load_misses /
-session.sql_load_hits / session.sql_load_misses``
+session.columnar_delta_hits / session.sql_load_hits /
+session.sql_load_misses``
     ``OMQASession`` store-load outcomes for the ``columnar`` and ``sql``
     strategies: a hit reuses the loaded store (the instance digest
-    matched), a miss (the first load, or changed content) reloads it;
+    matched), a miss (the first load, or changed content) reloads it,
+    and a columnar delta hit moves the store by the recorded
+    ``add_facts``/``retract_facts`` steps instead of reloading;
 ``session.sql_compile_hits / session.sql_compile_misses``
     ``OMQASession`` compiled-SQL cache outcomes per query shape;
     ``cache_info()`` reads every hit and miss it reports from these

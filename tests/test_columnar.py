@@ -347,7 +347,7 @@ class TestSessionColumnarStrategy:
         session.answer(query, instance, strategy="columnar")
         session.answer(query, instance, strategy="columnar")
         info = session.cache_info()["columnar"]
-        assert info == {"hits": 1, "misses": 1, "entries": 1}
+        assert info == {"hits": 1, "misses": 1, "entries": 1, "delta_hits": 0}
         # A different instance reloads (miss), same content hits again.
         session.answer(query, parse_instance("Trusted('b')"), strategy="columnar")
         assert session.cache_info()["columnar"]["misses"] == 2

@@ -173,13 +173,53 @@ class TestEndToEnd:
             tid = (await client.register_theory(theory))["id"]
             await client.upload_facts(tid, instance)
             query = parse_query("q(x, y) := E(x, y)")
-            expected = answers_digest(OMQASession(theory).answer(query, instance))
+            # The fallback's own route: a fresh session's fixpoint, with
+            # no second pass through the non-saturating rewriting.
+            expected = answers_digest(
+                OMQASession(theory).answer(query, instance, strategy="materialize")
+            )
             for backend in ("memory", "columnar", "sqlite"):
                 document = await client.query(tid, query, backend=backend)
                 assert document["digest"] == expected, backend
             await client.close()
 
         run(_with_service(body))
+
+    def test_columnar_reads_follow_writes_and_survive_a_failed_commit(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import registry
+        from repro.storage.chasestore import StoreChaseError
+
+        theory = parse_theory(UNIVERSITY, name="uni")
+        query = parse_query("q(p) := Person(p)")
+        entry = registry.TheoryEntry("uni", theory, tmp_path / "uni.db")
+        try:
+            entry.replace(parse_instance(SEED))
+            before = entry.answer(query, "columnar")
+
+            def failing_commit(*args, **kwargs):
+                raise StoreChaseError("commit failed")
+
+            monkeypatch.setattr(registry, "update_store_chase", failing_commit)
+            with pytest.raises(StoreChaseError):
+                entry.apply_update(add=parse_instance("TaughtBy(cs3, curie)"))
+            # The base was never swapped: the session serves the old
+            # content, with no reload.
+            assert entry.answer(query, "columnar") == before
+            monkeypatch.undo()
+
+            entry.apply_update(
+                add=parse_instance("TaughtBy(cs4, liskov)"),
+                retract=parse_instance("TaughtBy(cs1, turing)"),
+            )
+            after = entry.answer(query, "columnar")
+            assert after == OMQASession(theory).answer(query, entry.base)
+            assert {p.name for (p,) in after} == {"hopper", "liskov"}
+            info = entry.session.cache_info()["columnar"]
+            assert info["misses"] == 1 and info["delta_hits"] == 1
+        finally:
+            entry.close()
 
     def test_replace_reopens_readers_and_retract_maintains(self):
         async def body(service):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from repro.chase.engine import ChaseBudgetExceeded
 from repro.logic import parse_instance, parse_query, parse_theory
 from repro.logic.instance import Instance
 from repro.rewriting import answer, query_shape
+from repro.storage.base import content_digest, instance_digest
 
 TA = "Human(y) -> exists z. Mother(y, z)\nMother(x, y) -> Human(y)"
 UNIVERSITY = (
@@ -292,6 +294,114 @@ class TestInPlaceMutation:
         assert counters["session.columnar_load_misses"] == info["misses"] == 2
         assert counters["session.sql_load_hits"] == 1
         assert counters["session.sql_load_misses"] == 2
+
+
+class TestColumnarDelta:
+    """``add_facts``/``retract_facts`` move the columnar store by the change.
+
+    Each update derives the new instance's digest from its parent's
+    sorted reprs and records a step; the store replays steps lazily,
+    when the updated instance is first asked for.
+    """
+
+    QUERY = "q(p) := Person(p)"
+
+    @staticmethod
+    def _columnar(session):
+        return session.cache_info()["columnar"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_updates_match_a_fresh_session(self, seed):
+        rng = random.Random(seed)
+        theory = parse_theory(UNIVERSITY)
+        query = parse_query(self.QUERY)
+        pool = [
+            _fact(f"TaughtBy(c{i}, p{rng.randrange(12)})") for i in range(30)
+        ] + [_fact(f"EnrolledIn(s{i}, c{i % 5})") for i in range(10)]
+        instance = Instance(rng.sample(pool, 20))
+        session = OMQASession(theory)
+        session.answer(query, instance, strategy="columnar")
+        for step in range(40):
+            present = sorted(instance, key=repr)
+            absent = [item for item in pool if item not in instance]
+            add = rng.sample(absent, min(len(absent), rng.randrange(3)))
+            retract = rng.sample(present, min(len(present), rng.randrange(3)))
+            if present:
+                add.append(rng.choice(present))  # already there: no change
+            if absent:
+                retract.append(rng.choice(absent))  # not there: no change
+            if step % 3 == 0:
+                both = rng.choice(pool)  # retracted, then added back
+                add.append(both)
+                retract.append(both)
+            if step % 2:
+                instance = session.retract_facts(instance, retract)
+                instance = session.add_facts(instance, add)
+            else:
+                instance = session._update(instance, add=add, retract=retract)
+            assert instance_digest(instance) == content_digest(list(instance))
+            got = session.answer(query, instance, strategy="columnar")
+            fresh = OMQASession(theory).answer(
+                query, Instance(list(instance)), strategy="columnar"
+            )
+            assert got == fresh, step
+            assert self._columnar(session)["misses"] == 1, step
+        assert self._columnar(session)["delta_hits"] > 0
+
+    def test_old_instance_hits_until_the_new_one_is_asked_for(self):
+        session = OMQASession(parse_theory(UNIVERSITY))
+        query = parse_query(self.QUERY)
+        instance = parse_instance("TaughtBy(cs1, turing)")
+        session.answer(query, instance, strategy="columnar")
+        updated = session.add_facts(instance, [_fact("TaughtBy(cs2, hopper)")])
+        # The write window: readers still ask for the old instance.
+        old = session.answer(query, instance, strategy="columnar")
+        assert {p.name for (p,) in old} == {"turing"}
+        assert self._columnar(session) == {
+            "hits": 1, "misses": 1, "entries": 1, "delta_hits": 0
+        }
+        new = session.answer(query, updated, strategy="columnar")
+        assert {p.name for (p,) in new} == {"turing", "hopper"}
+        # A late reader of the old content walks the step back.
+        assert session.answer(query, instance, strategy="columnar") == old
+        counters = session.stats.counters
+        assert counters["session.columnar_load_misses"] == 1
+        assert counters["session.columnar_delta_hits"] == 2
+        assert self._columnar(session)["delta_hits"] == 2
+
+    def test_update_never_asked_for_leaves_the_old_content(self):
+        session = OMQASession(parse_theory(UNIVERSITY))
+        query = parse_query(self.QUERY)
+        instance = parse_instance("TaughtBy(cs1, turing). TaughtBy(cs2, hopper)")
+        session.answer(query, instance, strategy="columnar")
+        # As when a write's store commit fails: the caller keeps serving
+        # ``instance`` and never asks for the update.
+        session.retract_facts(instance, [_fact("TaughtBy(cs1, turing)")])
+        store = session._loaded_columnar(instance)
+        assert sorted(map(repr, store)) == sorted(map(repr, instance))
+        answers = session.answer(query, instance, strategy="columnar")
+        assert {p.name for (p,) in answers} == {"turing", "hopper"}
+        assert self._columnar(session)["misses"] == 1
+        assert self._columnar(session)["delta_hits"] == 0
+
+    def test_unasked_updates_stay_bounded_then_reload_once(self):
+        theory = parse_theory(UNIVERSITY)
+        query = parse_query(self.QUERY)
+        instance = Instance(_fact(f"TaughtBy(c{i}, p{i})") for i in range(50))
+        session = OMQASession(theory)
+        session.answer(query, instance, strategy="columnar")
+        held = len(instance)
+        for i in range(1000):
+            instance = session.add_facts(instance, [_fact(f"TaughtBy(d{i}, q{i})")])
+            assert session._columnar_step_facts <= held
+            assert len(session._columnar_steps) <= held + 1
+        got = session.answer(query, instance, strategy="columnar")
+        assert got == OMQASession(theory).answer(
+            query, Instance(list(instance)), strategy="columnar"
+        )
+        assert len(got) == 1050
+        assert self._columnar(session)["misses"] == 2
+        assert self._columnar(session)["delta_hits"] == 0
 
 
 class TestThreadSafety:

@@ -23,7 +23,7 @@ import pytest
 from repro.bench import Table
 from repro.chase import ChaseBudget
 from repro.logic import parse_instance, parse_theory
-from repro.storage import chase_into_store, open_store
+from repro.storage import SQLiteStore, chase_into_store
 
 # Two existential generators per node -> the frontier doubles each round
 # (a complete binary tree of Skolem terms); no rule has universal head
@@ -59,7 +59,7 @@ def run_store_chase(db_dir: str) -> Table:
     for budget_atoms in ATOM_BUDGETS:
         path = os.path.join(db_dir, f"tree_{budget_atoms}.db")
         tracemalloc.start()
-        with open_store(path) as store:
+        with SQLiteStore(path) as store:
             outcome = chase_into_store(
                 theory,
                 parse_instance("N(root)"),

@@ -25,8 +25,9 @@ Subpackages
 ``repro.bench``
     The parameter-sweep harness behind benchmarks/ and EXPERIMENTS.md.
 ``repro.storage``
-    Pluggable fact stores (RAM / SQLite): UCQ rewritings compiled to SQL
-    and a resumable store-backed chase with bounded RSS.
+    Two fact stores: an in-RAM id store for the columnar kernel and the
+    session, and a durable SQLite store with UCQ rewritings compiled to
+    SQL and a resumable store-backed chase with bounded RSS.
 """
 
 __version__ = "1.0.0"
@@ -47,7 +48,6 @@ from .logic import (
 )
 from .incremental import UpdateOutcome, incremental_update, update_store_chase
 from .rewriting import OMQASession, RewritingBudget, answer
-from .storage import open_store
 from .telemetry import Telemetry
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "evaluate",
     "holds",
     "is_model",
-    "open_store",
     "parse_instance",
     "parse_query",
     "parse_rule",

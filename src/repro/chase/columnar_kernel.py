@@ -231,7 +231,6 @@ class ColumnarRoundExecutor:
         # Rows produced last round, keyed by atom, awaiting the engine's
         # decision (applied atoms arrive back through ``sync``).
         self._pending: dict[Atom, tuple[Predicate, tuple]] = {}
-        self._round = 0
 
     def run_round(
         self,
@@ -251,9 +250,8 @@ class ColumnarRoundExecutor:
             if entry is None:  # e.g. a resume seeded outside this executor
                 entry = (atom.predicate, store._encode(atom))
             sync_rows[atom] = entry
-            store.insert_row(entry[0], entry[1], self._round)
+            store.insert_row(entry[0], entry[1])
         pending.clear()
-        self._round += 1
 
         delta_rows: "dict[Predicate, list[tuple]] | None" = None
         delta_predicates = None
@@ -445,7 +443,7 @@ def make_columnar_executor(
     # the chase telemetry would make otherwise identical runs (one-shot
     # vs resumed) disagree on store.* counters.
     executor = ColumnarRoundExecutor(prepared, ColumnarStore(), telemetry)
-    executor.store.add_many(base, round_=0)
+    executor.store.add_many(base)
     return executor
 
 

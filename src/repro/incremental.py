@@ -98,12 +98,11 @@ from .chase.provenance import (
 from .logic.atoms import Atom
 from .logic.homomorphism import iter_pattern_homomorphisms
 from .logic.instance import Instance
+from .storage.chasestore import update_store_chase
 from .telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .storage.chasestore import StoreChaseResult
     from .storage.columnar import ColumnarStore
-    from .storage.sqlite import SQLiteStore
 
 __all__ = [
     "UpdateOutcome",
@@ -401,35 +400,4 @@ def incremental_update(
         rederived=rederived,
         rounds_run=rounds_run,
         stats=work,
-    )
-
-
-def update_store_chase(
-    store: "SQLiteStore",
-    theory,
-    add: Iterable[Atom] = (),
-    retract: Iterable[Atom] = (),
-    budget: ChaseBudget | None = None,
-    cancel: CancellationToken | None = None,
-) -> "StoreChaseResult":
-    """Maintain a SQLite store-backed chase fixpoint in place.
-
-    The store must hold a terminated :func:`repro.storage.chase_into_store`
-    run of ``theory`` (matching theory text, current schema).  Additions
-    are inserted at a fresh round tag and chased semi-naively with the
-    store-chase's standard pivot plans; retractions walk the persisted
-    ``repro_supports`` edges to over-delete the cone, then probe each
-    cone fact with a head-bound ``SELECT … LIMIT 1`` over the survivors
-    (the deletion, the hits and the new base commit as one transaction),
-    and the hits seed the semi-naive rounds.  Same digest as clearing
-    the store and re-chasing the updated base.
-
-    Implemented in :mod:`repro.storage.chasestore` (the storage layer
-    owns the SQL); this is the stable import point next to
-    :func:`incremental_update`.
-    """
-    from .storage.chasestore import update_store_chase as _impl
-
-    return _impl(
-        store, theory, add=add, retract=retract, budget=budget, cancel=cancel
     )

@@ -1,22 +1,23 @@
-"""Pluggable fact storage behind one ``FactStore`` contract.
+"""Fact storage: an in-RAM id store and a durable SQLite store.
 
-Three backends, one registry (:data:`BACKEND_NAMES`, resolved everywhere
-through :func:`resolve_backend`): ``"memory"`` adapts the in-RAM
-``Instance``, ``"columnar"`` holds interned id tuples with per-position
-hash indexes (the columnar chase kernel's data plane), ``"sqlite"``
-persists facts with UCQ rewritings compiled to SQL, and runs a
-store-backed, resumable chase whose peak RSS is bounded by its batch
-size instead of the instance (plus the domain, for theories with
-universal head variables).
+Every backend spelling (:data:`BACKEND_NAMES`: ``"memory"``,
+``"columnar"``, ``"sqlite"``) is resolved through
+:func:`resolve_backend`.  ``"memory"`` is the object engine over an
+in-RAM ``Instance`` and needs no store.  The other two each have one
+store with one job: :class:`ColumnarStore` holds interned id tuples with
+per-position hash indexes (the columnar chase kernel's and the session's
+data plane, a plain set of facts), and :class:`SQLiteStore` persists
+facts with their round tags, the term dictionary and chase state.  UCQ
+rewritings compile to SQL over it, and it runs a store-backed, resumable
+chase whose peak RSS is bounded by its batch size instead of the
+instance (plus the domain, for theories with universal head variables).
 
 Layout:
 
 =====================  ===================================================
-:mod:`~repro.storage.base`        the :class:`FactStore` protocol,
-                                  :func:`content_digest`, :func:`open_store`,
+:mod:`~repro.storage.base`        :func:`content_digest`,
                                   :func:`resolve_backend`
 :mod:`~repro.storage.interning`   the shared term-interning mixin
-:mod:`~repro.storage.memory`      :class:`MemoryStore` over ``Instance``
 :mod:`~repro.storage.columnar`    :class:`ColumnarStore` (id tuples, indexes)
 :mod:`~repro.storage.sqlite`      :class:`SQLiteStore` (tables, dictionary)
 :mod:`~repro.storage.sqlcompile`  CQ/UCQ → SQL compilation + execution
@@ -26,11 +27,9 @@ Layout:
 
 from .base import (
     BACKEND_NAMES,
-    FactStore,
     ResolvedBackend,
     content_digest,
     instance_digest,
-    open_store,
     resolve_backend,
 )
 from .columnar import ColumnarStore
@@ -41,7 +40,6 @@ from .chasestore import (
     resume_store_chase,
     update_store_chase,
 )
-from .memory import MemoryStore
 from .sqlcompile import CompiledQuery, compile_ucq, evaluate_ucq_sql, execute_compiled
 from .sqlite import SQLiteStore
 
@@ -49,8 +47,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ColumnarStore",
     "CompiledQuery",
-    "FactStore",
-    "MemoryStore",
     "ResolvedBackend",
     "SQLiteStore",
     "StoreChaseError",
@@ -61,7 +57,6 @@ __all__ = [
     "evaluate_ucq_sql",
     "execute_compiled",
     "instance_digest",
-    "open_store",
     "resolve_backend",
     "resume_store_chase",
     "update_store_chase",

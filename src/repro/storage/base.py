@@ -1,23 +1,22 @@
-"""The :class:`FactStore` contract: what a fact backend must provide.
+"""Content identity and backend selection for the fact stores.
 
 The paper's BDD/FUS property (Theorem 1, Theorem 5's five-operation
 procedure) exists so that certain answers can be computed by evaluating a
 UCQ rewriting *directly over the database* — no chase, no materialized
-``Ch(T, D)`` in RAM.  A :class:`FactStore` is that database: a set of
-facts behind a small uniform interface with two implementations,
+``Ch(T, D)`` in RAM.  Two stores hold such databases, each with one job:
 
-* :class:`repro.storage.memory.MemoryStore` — an adapter over the
-  existing in-RAM :class:`~repro.logic.instance.Instance`, and
+* :class:`repro.storage.columnar.ColumnarStore` — an in-RAM set of
+  interned id rows, the data plane of the columnar chase kernel and of
+  ``OMQASession``'s ``columnar`` strategy, and
 * :class:`repro.storage.sqlite.SQLiteStore` — a durable SQLite database
   (one table per predicate, per-position indexes, an interned term
   dictionary) whose join engine evaluates compiled rewritings
   (:mod:`repro.storage.sqlcompile`) without ever materializing the
-  facts in Python.
-
-Stores tag every fact with a *round* (0 for base facts), which is what
-makes the store-backed chase (:mod:`repro.storage.chasestore`)
-round-exact and resumable: its rounds are the ``round_added`` partition
-of a :class:`~repro.chase.engine.ChaseResult`.
+  facts in Python.  Only this store tags facts with a *round* (0 for
+  base facts) and keeps chase state, which is what makes the
+  store-backed chase (:mod:`repro.storage.chasestore`) round-exact and
+  resumable: its rounds are the ``round_added`` partition of a
+  :class:`~repro.chase.engine.ChaseResult`.
 
 Content identity across backends is a :func:`content_digest`: the
 sha256 of the sorted fact reprs, truncated exactly like the bench
@@ -25,7 +24,8 @@ guard's instance checksums — an :class:`Instance` and its store
 round-trip digest-compare equal, whichever backend holds the facts.
 A holder of an instance's sorted reprs (:func:`sorted_reprs`) derives
 the digest of an updated instance in O(change) with
-:func:`derive_digest`.
+:func:`derive_digest`.  :func:`resolve_backend` validates every
+user-facing backend choice against :data:`BACKEND_NAMES`.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable
 
 from ..logic.atoms import Atom
 from ..logic.instance import Instance
-from ..logic.signature import Predicate
-from ..telemetry import Telemetry
 
 
 def content_digest(atoms: Iterable[Atom] | Iterable[str]) -> str:
@@ -109,74 +107,6 @@ def derive_digest(
     return rendered
 
 
-@runtime_checkable
-class FactStore(Protocol):
-    """What every fact backend provides.
-
-    The contract is deliberately small — the evaluation fast path lives
-    in backend-specific code (:mod:`repro.storage.sqlcompile` for
-    SQLite, the homomorphism engine for memory); the protocol covers
-    loading, membership, round bookkeeping and content identity.
-
-    ``stats`` is a :class:`~repro.telemetry.Telemetry` carrying the
-    ``store.*`` counters (``store.writes``, ``store.batches``,
-    ``store.sql_queries``, ``store.rows_scanned``, ...).
-    """
-
-    stats: Telemetry
-
-    @property
-    def backend(self) -> str:
-        """Backend tag: one of :data:`BACKEND_NAMES`."""
-        ...
-
-    def add(self, item: Atom, round_: int = 0) -> bool:
-        """Add one fact (tagged with ``round_``); True when new."""
-        ...
-
-    def add_many(self, items: Iterable[Atom], round_: int = 0) -> int:
-        """Add many facts in one batch; returns how many were new."""
-        ...
-
-    def __len__(self) -> int: ...
-
-    def __contains__(self, item: Atom) -> bool: ...
-
-    def __iter__(self) -> Iterator[Atom]: ...
-
-    def predicates(self) -> set[Predicate]:
-        """Predicates with at least one stored fact."""
-        ...
-
-    def facts(self, predicate: Predicate) -> Iterator[Atom]:
-        """All stored facts over ``predicate``."""
-        ...
-
-    def max_round(self) -> int:
-        """The highest round tag present (0 for a base-only store)."""
-        ...
-
-    def atoms_in_round(self, round_: int) -> frozenset[Atom]:
-        """The facts first added in round ``round_``."""
-        ...
-
-    def digest(self) -> str:
-        """The :func:`content_digest` of the stored facts."""
-        ...
-
-    def to_instance(self) -> Instance:
-        """Materialize the store as an in-RAM :class:`Instance`."""
-        ...
-
-    def flush(self) -> None:
-        """Push any buffered writes to the backing medium."""
-        ...
-
-    def close(self) -> None:
-        """Flush and release backend resources (idempotent)."""
-        ...
-
-
 # The one registry of backend spellings.  Every user-facing selector —
 # ``chase(backend=)``, ``answer(backend=)``, ``OMQASession``, the CLI's
 # ``--backend/--db`` — resolves through :func:`resolve_backend`, so a new
@@ -190,23 +120,6 @@ class ResolvedBackend:
 
     name: str
     path: "str | None" = None
-
-    def open(self, telemetry: "Telemetry | None" = None) -> FactStore:
-        """Instantiate the chosen backend's :class:`FactStore`."""
-        if self.name == "memory":
-            from .memory import MemoryStore
-
-            return MemoryStore()
-        if self.name == "columnar":
-            from .columnar import ColumnarStore
-
-            return ColumnarStore(telemetry=telemetry)
-        from .sqlite import SQLiteStore
-
-        return SQLiteStore(
-            self.path if self.path is not None else ":memory:",
-            telemetry=telemetry,
-        )
 
 
 def resolve_backend(
@@ -242,22 +155,3 @@ def resolve_backend(
             f"got backend={name!r} with path {path!r}"
         )
     return ResolvedBackend(name=name, path=path)
-
-
-def open_store(path: "str | None" = None, **kwargs) -> FactStore:
-    """Open a fact store: in-memory by default, SQLite when given a path.
-
-    ``open_store(None)`` returns a fresh
-    :class:`~repro.storage.memory.MemoryStore`; any path (including
-    SQLite's ``":memory:"``) returns a
-    :class:`~repro.storage.sqlite.SQLiteStore` — the idiom behind the
-    CLI's ``--backend sqlite --db PATH`` and
-    ``OMQASession(db_path=...)``.
-    """
-    if path is None:
-        from .memory import MemoryStore
-
-        return MemoryStore(**kwargs)
-    from .sqlite import SQLiteStore
-
-    return SQLiteStore(path, **kwargs)

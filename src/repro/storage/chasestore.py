@@ -74,7 +74,7 @@ from ..telemetry import Telemetry
 from .sqlcompile import build_select
 from .sqlite import SQLiteStore, fact_key, parse_fact_key
 
-STORE_CHASE_SCHEMA = "repro-storechase/1"
+STORE_CHASE_SCHEMA = "repro-storechase/2"
 
 
 class StoreChaseError(RuntimeError):
@@ -200,12 +200,11 @@ class _StoreRule:
     ):
         """This round's sigma rows, as a list of row iterables.
 
-        ``full`` (the first round, or the legacy repair round after a
-        retraction) evaluates the body over everything up to round
-        ``last``; otherwise one semi-naive plan per pivot pins the pivot
-        to ``last``, atoms before it to strictly older rounds and atoms
-        after it to ``<= last``, so each delta-touching sigma comes up
-        exactly once.  A pivot whose predicate is not in ``delta`` (the
+        ``full`` (the first round) evaluates the body over everything up
+        to round ``last``; otherwise one semi-naive plan per pivot pins
+        the pivot to ``last``, atoms before it to strictly older rounds
+        and atoms after it to ``<= last``, so each delta-touching sigma
+        comes up exactly once.  A pivot whose predicate is not in ``delta`` (the
         predicates with rows tagged ``last``; ``None`` when unknown)
         cannot match and is skipped (``plan.pivots_skipped``).  Rules
         with universal variables extend the rows through
@@ -288,17 +287,6 @@ def _theory_text(theory: Theory) -> str:
     return text
 
 
-def _chased_under(persisted: str, theory: Theory) -> bool:
-    """Does the persisted ``storechase.theory`` text name ``theory``?
-
-    Databases written before rule text quoted constants hold the rules'
-    ``repr``s (constants bare); those still match the theory passed in.
-    """
-    return persisted == _theory_text(theory) or persisted == (
-        "\n".join(repr(rule) for rule in theory) + "\n"
-    )
-
-
 def _persist_state(
     store: SQLiteStore,
     rounds: int,
@@ -371,12 +359,12 @@ def _execute_round(
     facts never acquire edges and never enter the deletion cascade.
 
     ``full`` selects full-width evaluation (see :meth:`_StoreRule.sources`)
-    — the first chase round, or the legacy repair round after a
-    retraction — over the standard semi-naive pivots.  ``delta`` holds
-    the predicates with rows tagged ``round_number - 1`` (``None`` when
-    unknown): a semi-naive round skips every rule with no body predicate
-    in it (``plan.rules_skipped``), as the in-memory planner does;
-    universal rules, gated on new domain terms instead, always run.
+    — the first chase round — over the standard semi-naive pivots.
+    ``delta`` holds the predicates with rows tagged ``round_number - 1``
+    (``None`` when unknown): a semi-naive round skips every rule with no
+    body predicate in it (``plan.rules_skipped``), as the in-memory
+    planner does; universal rules, gated on new domain terms instead,
+    always run.
     Raises :class:`~repro.chase.engine._RoundInterrupt` on deadline or
     cancellation, leaving the partial round uncommitted.
     """
@@ -568,19 +556,13 @@ def chase_into_store(
     if schema is not None:
         if schema != STORE_CHASE_SCHEMA:
             raise StoreChaseError(f"unsupported store-chase schema {schema!r}")
-        if not _chased_under(store.get_meta("storechase.theory", ""), theory):
+        if store.get_meta("storechase.theory", "") != theory_text:
             raise StoreChaseError(
                 "store was chased under a different theory; refusing to mix"
             )
         if base is not None:
             raise StoreChaseError(
                 "resuming a store chase: base is already persisted, pass None"
-            )
-        if store.get_meta("storechase.repair") == "1":
-            raise StoreChaseError(
-                "store holds an interrupted incremental update (the "
-                "deletion cone is applied but not yet re-derived); finish "
-                "it with repro.incremental.update_store_chase"
             )
         rounds_run = int(store.get_meta("storechase.rounds", "0"))
         terminated = store.get_meta("storechase.terminated") == "1"
@@ -616,11 +598,6 @@ def chase_into_store(
             store._flush_pending()
         store.set_meta("storechase.schema", STORE_CHASE_SCHEMA, commit=False)
         store.set_meta("storechase.theory", theory_text, commit=False)
-        # Marks that every derived fact in this store carries support
-        # edges — the precondition for retractions in
-        # ``update_store_chase`` (databases written before the supports
-        # table existed resume fine but cannot be retracted from).
-        store.set_meta("storechase.supports", "1", commit=False)
         rounds_run = 0
         terminated = False
         _persist_state(store, rounds_run, terminated, stats, commit=False)
@@ -745,15 +722,10 @@ def update_store_chase(
     content digest equals clearing the store and re-chasing the updated
     base from scratch.
 
-    A database whose ``storechase.repair`` marker was left set by an
-    older build (which committed the deletion before re-deriving) is
-    refused by :func:`resume_store_chase`; this function finishes it
-    with one full-width round over the survivors — the only update path
-    that evaluates rule bodies over the whole store.
-
     Raises :class:`StoreChaseError` for missing/unterminated/foreign
-    chase state and pre-supports databases on retraction; ``ValueError``
-    — as :func:`repro.incremental.incremental_update` does — for
+    chase state (a store written under another ``storechase.schema``
+    included); ``ValueError`` — as
+    :func:`repro.incremental.incremental_update` does — for
     retracting a derived fact (bodyless-rule productions included),
     retracting under a theory with universal head variables, or adding
     and retracting the same fact.  A fact listed twice counts once.
@@ -773,12 +745,11 @@ def update_store_chase(
         theory = parse_theory(
             store.get_meta("storechase.theory", ""), name="storechase"
         )
-    elif not _chased_under(store.get_meta("storechase.theory", ""), theory):
+    elif store.get_meta("storechase.theory", "") != _theory_text(theory):
         raise StoreChaseError(
             "store was chased under a different theory; refusing to mix"
         )
-    repair_pending = store.get_meta("storechase.repair") == "1"
-    if store.get_meta("storechase.terminated") != "1" and not repair_pending:
+    if store.get_meta("storechase.terminated") != "1":
         raise StoreChaseError(
             "store chase is not at a fixpoint; resume_store_chase first"
         )
@@ -788,11 +759,6 @@ def update_store_chase(
     if overlap:
         raise ValueError(
             f"facts both added and retracted: {sorted(map(str, overlap))}"
-        )
-    if retract and store.get_meta("storechase.supports") != "1":
-        raise StoreChaseError(
-            "store predates support tracking; retraction needs a re-chase "
-            "(re-run chase_into_store on a fresh store)"
         )
 
     rounds_run = int(store.get_meta("storechase.rounds", "0"))
@@ -828,15 +794,11 @@ def update_store_chase(
                 promoted_keys.add(key)
 
         if not removed_keys and not to_insert and not promoted_keys:
-            if not repair_pending:
-                counters["delta.noops"] += 1
-                return StoreChaseResult(
-                    store, rounds_run, True, len(store), stats
-                )
-        else:
-            counters["delta.updates"] += 1
-            counters["delta.added_base"] += len(to_insert) + len(promoted_keys)
-            counters["delta.retracted_base"] += len(removed_keys)
+            counters["delta.noops"] += 1
+            return StoreChaseResult(store, rounds_run, True, len(store), stats)
+        counters["delta.updates"] += 1
+        counters["delta.added_base"] += len(to_insert) + len(promoted_keys)
+        counters["delta.retracted_base"] += len(removed_keys)
 
         # ---- ONE transaction: cone deletion, base changes, probe hits
         # and state (no membership test or len() below: both commit) --
@@ -863,11 +825,10 @@ def update_store_chase(
         for item in to_insert:
             store.buffer(item, round_=epoch)
         store._flush_pending()
-        # A legacy repair re-derives with its full-width round instead.
         delta = {item.predicate for item in to_insert}
-        if deleted and not repair_pending:
+        if deleted:
             delta |= _rederive_cone(store, rules, deleted, epoch)
-        terminated = not repair_pending and not delta
+        terminated = not delta
 
         def count_rederived() -> None:
             # How much of the over-deleted cone came back: the probe hits
@@ -888,17 +849,11 @@ def update_store_chase(
             return StoreChaseResult(store, epoch, True, total, stats)
 
         def on_round(done: bool) -> None:
-            nonlocal repair_pending
             counters["delta.rounds"] += 1
             if done:
                 count_rederived()
-            if repair_pending:
-                # The legacy closure is whole again from here on; a crash
-                # in a later round resumes like any suspended chase.
-                store.set_meta("storechase.repair", "0", commit=False)
-                repair_pending = False
 
         # ---- semi-naive rounds seeded by the epoch's facts -----------
         return _run_store_rounds(
-            store, rules, epoch, total, budget, cancel, repair_pending, delta, on_round
+            store, rules, epoch, total, budget, cancel, False, delta, on_round
         )

@@ -6,10 +6,13 @@ tuples of **interned integer term ids** (the same structural dictionary
 :class:`~repro.storage.interning.TermInterningMixin` gives the SQLite
 store), one :class:`_Relation` per predicate:
 
-``rows: dict[row, round]``
-    the tuple store itself; the dict doubles as the dedup set and the
-    "first round it appeared in" tag of Definition 6 (re-adding a fact
-    never changes its tag);
+``rows: dict[row, None]``
+    the tuple store itself, doubling as the dedup set.  A dict used as
+    an insertion-ordered set: scans then visit rows in the order they
+    were added, so the kernel's matches — and the derivation it records
+    for an atom with several — do not depend on hash order, and a full
+    scan walks the dict's dense entry array (faster than a set's sparse
+    table);
 ``indexes: tuple[dict[int, set[row]], ...]``
     one hash index per position, mapping a term id to the set of rows
     carrying it there — the O(1) bucket probes the columnar kernel's
@@ -21,6 +24,12 @@ dedup probes and per-position bucket lookups, which the hashed row-set
 representation serves in O(1) with zero decode cost; contiguous columns
 only pay off for full scans, which the kernel never does once the
 indexes exist.  (numpy is also not a dependency of this package.)
+
+The store is a plain set of facts: round tags, chase metadata and a
+write buffer belong to the durable
+:class:`~repro.storage.sqlite.SQLiteStore` (a chase run's rounds are its
+``ChaseResult.round_added``, Observation 8), and the dictionary keeps
+each term's tuple key itself, with no text payload.
 
 Everything is id-native: Skolem terms derived by the kernel are
 interned via :meth:`intern_function` without materializing
@@ -51,50 +60,47 @@ from .interning import TermInterningMixin
 class _Relation:
     """One predicate's tuple store plus its per-position hash indexes."""
 
-    __slots__ = ("arity", "rows", "indexes", "by_round")
+    __slots__ = ("arity", "rows", "indexes")
 
     def __init__(self, arity: int) -> None:
         self.arity = arity
-        self.rows: dict[tuple, int] = {}
+        self.rows: dict[tuple, None] = {}
         self.indexes: tuple[dict[int, set], ...] = tuple(
             {} for _ in range(arity)
         )
-        self.by_round: dict[int, int] = {}
 
-    def insert(self, row: tuple, round_: int) -> bool:
-        """Add ``row`` tagged ``round_``; False when already present."""
+    def insert(self, row: tuple) -> bool:
+        """Add ``row``; False when already present."""
         if row in self.rows:
             return False
-        self.rows[row] = round_
+        self.rows[row] = None
         for position, term_id in enumerate(row):
             bucket = self.indexes[position].get(term_id)
             if bucket is None:
                 self.indexes[position][term_id] = {row}
             else:
                 bucket.add(row)
-        self.by_round[round_] = self.by_round.get(round_, 0) + 1
         return True
 
     def remove(self, row: tuple) -> bool:
         """Drop ``row`` and its index entries; False when it was absent."""
-        round_ = self.rows.pop(row, None)
-        if round_ is None:
+        if row not in self.rows:
             return False
+        del self.rows[row]
         for index, term_id in zip(self.indexes, row):
             bucket = index[term_id]
             bucket.discard(row)
             if not bucket:
                 del index[term_id]
-        self.by_round[round_] -= 1
         return True
 
 
 class ColumnarStore(TermInterningMixin):
-    """A :class:`~repro.storage.base.FactStore` over columnar id tuples.
+    """An in-RAM set of facts held as columnar id tuples.
 
-    Purely in-RAM: ``close()`` discards everything.  The term caches
-    inherited from the mixin *are* the dictionary, so they are never
-    trimmed and ``_dict_lookup`` never has a second place to look.
+    ``close()`` discards everything.  The key cache inherited from the
+    mixin *is* the dictionary's index, so it is never trimmed and
+    ``_dict_lookup`` never has a second place to look.
     """
 
     def __init__(
@@ -104,32 +110,26 @@ class ColumnarStore(TermInterningMixin):
     ) -> None:
         self.stats = telemetry if telemetry is not None else Telemetry()
         self._init_term_caches()
-        # The dictionary itself: entry i describes term id i + 1.
-        self._term_rows: list[tuple[str, str, str]] = []
+        # The dictionary itself: entry i is (key, display) of term id i + 1.
+        self._term_rows: list[tuple[tuple, str]] = []
         self._relations: dict[Predicate, _Relation] = {}
-        self._meta: dict[str, str] = {}
-        self._max_round = 0
         if instance is not None:
             self.add_many(instance)
-
-    @property
-    def backend(self) -> str:
-        return "columnar"
 
     # ------------------------------------------------------------------
     # Dictionary primitives (TermInterningMixin contract)
     # ------------------------------------------------------------------
-    def _dict_lookup(self, kind: str, payload: str) -> "int | None":
-        # The payload cache is the authoritative index; a miss there is
-        # a miss, full stop.
+    def _dict_lookup(self, key: tuple) -> "int | None":
+        # The key cache is the authoritative index; a miss there is a
+        # miss, full stop.
         return None
 
-    def _dict_insert(self, kind: str, payload: str, display: str) -> int:
-        self._term_rows.append((kind, payload, display))
+    def _dict_insert(self, key: tuple, display: str) -> int:
+        self._term_rows.append((key, display))
         self.stats.counters["store.terms_interned"] += 1
         return len(self._term_rows)
 
-    def _dict_fetch(self, term_id: int) -> "tuple[str, str, str] | None":
+    def _dict_fetch(self, term_id: int) -> "tuple[tuple, str] | None":
         if 1 <= term_id <= len(self._term_rows):
             return self._term_rows[term_id - 1]
         return None
@@ -137,10 +137,6 @@ class ColumnarStore(TermInterningMixin):
     # ------------------------------------------------------------------
     # Relations
     # ------------------------------------------------------------------
-    def relation(self, predicate: Predicate) -> "_Relation | None":
-        """The predicate's relation, or ``None`` when never seen."""
-        return self._relations.get(predicate)
-
     def relation_for(self, predicate: Predicate) -> _Relation:
         """The predicate's relation, created on first sight."""
         relation = self._relations.get(predicate)
@@ -168,45 +164,23 @@ class ColumnarStore(TermInterningMixin):
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def insert_row(self, predicate: Predicate, row: tuple, round_: int) -> bool:
+    def insert_row(self, predicate: Predicate, row: tuple) -> bool:
         """Insert one id-native row; True when it was new."""
         self.stats.counters["store.writes"] += 1
-        if self.relation_for(predicate).insert(row, round_):
-            if round_ > self._max_round:
-                self._max_round = round_
-            return True
-        return False
+        return self.relation_for(predicate).insert(row)
 
-    def add(self, item: Atom, round_: int = 0) -> bool:
+    def add(self, item: Atom) -> bool:
         """Add one fact; returns True when it was not present before."""
-        return self.insert_row(item.predicate, self._encode(item), round_)
+        return self.insert_row(item.predicate, self._encode(item))
 
-    def add_many(self, items: Iterable[Atom], round_: int = 0) -> int:
+    def add_many(self, items: Iterable[Atom]) -> int:
         """Add facts in bulk; returns how many were *new*."""
         self.stats.counters["store.batches"] += 1
         added = 0
         for item in items:
-            if self.add(item, round_=round_):
+            if self.add(item):
                 added += 1
         return added
-
-    def insert_rows(
-        self, predicate: Predicate, rows: "list[tuple[int, ...]]", round_: int
-    ) -> int:
-        """Bulk-insert id-native fact rows; returns how many were new.
-
-        Mirrors :meth:`SQLiteStore.insert_rows`: re-proposed facts keep
-        their original round tag (Definition 6's first-appearance
-        semantics).
-        """
-        if not rows:
-            return 0
-        self.stats.counters["store.batches"] += 1
-        inserted = 0
-        for row in rows:
-            if self.insert_row(predicate, row, round_):
-                inserted += 1
-        return inserted
 
     def discard(self, item: Atom) -> bool:
         """Remove one fact; True when it was present.
@@ -219,13 +193,6 @@ class ColumnarStore(TermInterningMixin):
             return False
         row = self._row_of(item)
         return row is not None and relation.remove(row)
-
-    def buffer(self, item: Atom, round_: int = 0) -> None:
-        """Alias for :meth:`add`; the RAM store has no write buffer."""
-        self.add(item, round_=round_)
-
-    def flush(self) -> None:
-        pass
 
     # ------------------------------------------------------------------
     # Reads
@@ -255,26 +222,6 @@ class ColumnarStore(TermInterningMixin):
             self.stats.counters["store.rows_scanned"] += 1
             yield self._decode(predicate, row)
 
-    def max_round(self) -> int:
-        return self._max_round
-
-    def atoms_in_round(self, round_: int) -> frozenset[Atom]:
-        collected = []
-        for predicate, relation in self._relations.items():
-            if not relation.by_round.get(round_):
-                continue
-            for row, tag in relation.rows.items():
-                if tag == round_:
-                    self.stats.counters["store.rows_scanned"] += 1
-                    collected.append(self._decode(predicate, row))
-        return frozenset(collected)
-
-    def count_in_round(self, round_: int) -> int:
-        """How many facts carry round tag ``round_`` (no decode)."""
-        return sum(
-            rel.by_round.get(round_, 0) for rel in self._relations.values()
-        )
-
     def digest(self) -> str:
         """Content digest, rendered from the term dictionary's displays.
 
@@ -301,23 +248,12 @@ class ColumnarStore(TermInterningMixin):
         """
         for predicate in list(self._relations):
             self._relations[predicate] = _Relation(predicate.arity)
-        self._max_round = 0
-
-    # ------------------------------------------------------------------
-    # Metadata
-    # ------------------------------------------------------------------
-    def get_meta(self, key: str, default: "str | None" = None) -> "str | None":
-        return self._meta.get(key, default)
-
-    def set_meta(self, key: str, value: str) -> None:
-        self._meta[key] = value
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         self._relations.clear()
-        self._meta.clear()
 
     def __enter__(self) -> "ColumnarStore":
         return self

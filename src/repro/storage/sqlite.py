@@ -6,10 +6,12 @@ This is the durable data plane behind ``backend="sqlite"``.  Schema:
     the **interned term dictionary**.  Every term — constant, variable
     (instances may legally contain variables, see Observation 31) or
     Skolem function term — appears exactly once and is referenced by
-    integer id everywhere else.  ``payload`` is the structural identity
-    (for function terms: the functor plus the *child ids*, so deep Skolem
-    trees cost O(1) per node, not O(depth) per mention); ``display`` is
-    the term's repr, kept so fact reprs — and hence
+    integer id everywhere else.  ``(kind, payload)`` is the row form of
+    the term's key (:mod:`repro.storage.interning`): a name for ``c``
+    and ``v``, and ``json.dumps([functor, child_ids])`` for ``f`` — the
+    *child ids*, so deep Skolem trees cost O(1) per node, not O(depth)
+    per mention.  This row codec is the only place a JSON payload
+    exists; ``display`` is the term's repr, kept so fact reprs — and hence
     :func:`~repro.storage.base.content_digest` checksums — can be
     rendered straight from SQL without rebuilding Python terms.
 
@@ -63,6 +65,7 @@ result rows fetched, ``store.terms_interned`` dictionary inserts,
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import sqlite3
@@ -121,6 +124,25 @@ def _trim(cache: dict) -> None:
         cache.clear()
 
 
+def _term_row(key: tuple) -> "tuple[str, str]":
+    """A term key as its ``repro_terms`` ``(kind, payload)`` columns.
+
+    Constants and variables store their name; a function term stores
+    ``json.dumps([functor, child_ids])``.
+    """
+    if key[0] == "f":
+        return "f", json.dumps([key[1], list(key[2])])
+    return key
+
+
+def _term_key(kind: str, payload: str) -> tuple:
+    """The inverse of :func:`_term_row`."""
+    if kind == "f":
+        functor, child_ids = json.loads(payload)
+        return "f", functor, tuple(child_ids)
+    return kind, payload
+
+
 def fact_key(predicate: Predicate, ids: "tuple[int, ...]") -> str:
     """The canonical row key used by the ``repro_supports`` edge table.
 
@@ -148,7 +170,7 @@ def parse_fact_key(key: str) -> "tuple[Predicate, tuple[int, ...]]":
 
 
 class SQLiteStore(TermInterningMixin):
-    """A :class:`~repro.storage.base.FactStore` backed by SQLite.
+    """The durable fact store: facts, round tags and chase state in SQLite.
 
     ``path`` may be a filesystem path or SQLite's ``":memory:"``.
     ``batch_size`` bounds the write buffer (rows, across predicates).
@@ -194,10 +216,6 @@ class SQLiteStore(TermInterningMixin):
             "SELECT name, arity, table_name FROM repro_predicates"
         ):
             self._tables[Predicate(name, arity)] = table
-
-    @property
-    def backend(self) -> str:
-        return "sqlite"
 
     # ------------------------------------------------------------------
     # Connection plumbing
@@ -332,27 +350,27 @@ class SQLiteStore(TermInterningMixin):
     def _trim_term_cache(self, cache: dict) -> None:
         _trim(cache)
 
-    def _dict_lookup(self, kind: str, payload: str) -> "int | None":
+    def _dict_lookup(self, key: tuple) -> "int | None":
         row = self._select(
             "SELECT id FROM repro_terms WHERE kind = ? AND payload = ?",
-            (kind, payload),
+            _term_row(key),
         ).fetchone()
         return None if row is None else int(row[0])
 
-    def _dict_insert(self, kind: str, payload: str, display: str) -> int:
+    def _dict_insert(self, key: tuple, display: str) -> int:
         cursor = self.connection.execute(
             "INSERT INTO repro_terms (kind, payload, display) VALUES (?, ?, ?)",
-            (kind, payload, display),
+            (*_term_row(key), display),
         )
         self.stats.counters["store.terms_interned"] += 1
         return int(cursor.lastrowid)
 
-    def _dict_fetch(self, term_id: int) -> "tuple[str, str, str] | None":
+    def _dict_fetch(self, term_id: int) -> "tuple[tuple, str] | None":
         row = self._select(
             "SELECT kind, payload, display FROM repro_terms WHERE id = ?",
             (term_id,),
         ).fetchone()
-        return None if row is None else (row[0], row[1], row[2])
+        return None if row is None else (_term_key(row[0], row[1]), row[2])
 
     # ------------------------------------------------------------------
     # Writes (buffered, batched)
@@ -755,8 +773,10 @@ class SQLiteStore(TermInterningMixin):
         """Drop every stored fact, keeping tables and the term dictionary.
 
         ``OMQASession`` reloads a different instance through this: term
-        ids and table names stay stable, so previously compiled SQL
-        remains executable against the refilled store.
+        ids and table names stay stable, so nothing is re-interned for
+        facts seen before.  Compiled SQL is *not* kept across a reload:
+        compilation prunes against the tables and constants present, so
+        the session clears its compiled-SQL cache on every reload.
         """
         self._pending.clear()
         self._pending_rows = 0

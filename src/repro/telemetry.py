@@ -88,8 +88,7 @@ delta.rederive_probes / delta.rounds``
     body search per cone atom and rule head it matches; in memory a
     homomorphism search, in the store one ``SELECT … LIMIT 1``), and
     chase rounds executed (the semi-naive rounds seeded by added facts
-    and probe hits, none when there is no seed; in the store also the
-    one full-width round that finishes a legacy ``storechase.repair``);
+    and probe hits, none when there is no seed);
 ``store.writes / store.batches / store.sql_queries / store.rows_scanned /
 store.terms_interned``
     the storage subsystem (``repro.storage``): facts submitted to a

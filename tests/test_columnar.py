@@ -25,7 +25,6 @@ from repro.rewriting.engine import RewritingBudget
 from repro.storage import (
     BACKEND_NAMES,
     ColumnarStore,
-    MemoryStore,
     SQLiteStore,
     resolve_backend,
 )
@@ -258,12 +257,6 @@ class TestResolveBackend:
                 allowed=("memory", "columnar"),
                 hint="a SQLite-backed chase runs through chase_into_store",
             )
-
-    def test_open_dispatches(self):
-        assert isinstance(resolve_backend("memory").open(), MemoryStore)
-        assert isinstance(resolve_backend("columnar").open(), ColumnarStore)
-        with resolve_backend("sqlite").open() as store:
-            assert isinstance(store, SQLiteStore)
 
     def test_chase_rejects_sqlite(self):
         theory = parse_theory("P(x) -> Q(x)")

@@ -22,11 +22,9 @@ from repro.logic.signature import Predicate
 from repro.logic.terms import Constant
 from repro.storage import (
     SQLiteStore,
-    StoreChaseError,
     chase_into_store,
     content_digest,
     instance_digest,
-    resume_store_chase,
     update_store_chase,
 )
 
@@ -537,29 +535,6 @@ class TestStoreUpdates:
             assert store.digest() == scratch_digest(
                 TC, {fact("E(b, c)."), fact("E(a, c).")}
             )
-
-    def test_refuses_pre_supports_databases(self):
-        with SQLiteStore(":memory:") as store:
-            chase_into_store(TC, parse_instance("E(a, b)."), store, budget=BUDGET)
-            store.set_meta("storechase.supports", "0")
-            with pytest.raises(StoreChaseError, match="support"):
-                update_store_chase(store, TC, retract=[fact("E(a, b).")])
-
-    def test_pending_repair_blocks_resume_and_is_finished_by_update(self):
-        # A crash between the deletion transaction and the re-derive
-        # rounds leaves storechase.repair set; resume must refuse and a
-        # plain update call must finish the repair.
-        base = parse_instance("E(a, b). E(b, c).")
-        with SQLiteStore(":memory:") as store:
-            chase_into_store(TC, base, store, budget=BUDGET)
-            digest = store.digest()
-            store.set_meta("storechase.repair", "1")
-            with pytest.raises(StoreChaseError, match="interrupted incremental"):
-                resume_store_chase(store, TC, budget=BUDGET)
-            result = update_store_chase(store, TC, budget=BUDGET)
-            assert result.terminated
-            assert store.get_meta("storechase.repair") == "0"
-            assert store.digest() == digest
 
     def test_noop_update(self):
         with SQLiteStore(":memory:") as store:

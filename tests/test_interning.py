@@ -107,6 +107,9 @@ class TestDigestAgreement:
             sqlite.add_many(reversed(list(facts)))
             assert columnar.digest() == sqlite.digest()
 
+    # Id-native bulk inserts with round tags: the store chase's write
+    # path, so only the durable store has it.
+    @pytest.mark.parametrize("store", BACKENDS[1:], ids=BACKEND_IDS[1:], indirect=True)
     def test_insert_rows_counts_new_only(self, store):
         facts = parse_instance("E(a, b). E(b, c)")
         edge = next(iter(facts)).predicate
@@ -126,3 +129,49 @@ class TestDigestAgreement:
         store.clear_facts()
         assert len(store) == 0
         assert store.term_id(Constant("a")) == term_id
+
+
+class TestOnDiskDictionary:
+    """The ``repro_terms`` rows a file-backed store writes are a format.
+
+    Pinned text: databases written by earlier builds must keep decoding,
+    and the same term must keep producing the same rows.
+    """
+
+    TERM = FunctionTerm(
+        "f", (FunctionTerm("g", (Constant("a"),)), Constant("b"))
+    )
+    ROWS = [
+        (1, "c", "a", "a"),
+        (2, "f", '["g", [1]]', "g(a)"),
+        (3, "c", "b", "b"),
+        (4, "f", '["f", [2, 3]]', "f(g(a),b)"),
+    ]
+    DIGEST = "924f442de01d7070"
+
+    def test_repro_terms_rows_and_decoding(self, tmp_path):
+        import sqlite3
+
+        from repro.logic.atoms import Atom
+        from repro.logic.signature import Predicate
+
+        path = str(tmp_path / "terms.db")
+        with SQLiteStore(path) as writer:
+            term_id = writer.intern_term(self.TERM)
+            writer.add(Atom(Predicate("P", 1), (self.TERM,)))
+            assert writer.digest() == self.DIGEST
+        connection = sqlite3.connect(path)
+        try:
+            rows = connection.execute(
+                "SELECT id, kind, payload, display FROM repro_terms ORDER BY id"
+            ).fetchall()
+        finally:
+            connection.close()
+        assert rows == self.ROWS
+        with SQLiteStore(path) as reader:  # a fresh connection: only the file
+            assert reader.term_by_id(term_id) == self.TERM
+            assert reader.function_parts(term_id) == ("f", (2, 3))
+            assert reader.function_parts(2) == ("g", (1,))
+            assert reader.function_parts(1) is None
+            assert reader.term_id(self.TERM) == term_id
+            assert reader.digest() == self.DIGEST

@@ -1,8 +1,9 @@
 """Unit tests for the storage subsystem (repro.storage).
 
-Covers the :class:`FactStore` contract on both backends, content
-digests, the id-native bulk-insert path, SQL compilation of UCQ
-rewritings, and the store-backed chase's error surface.  End-to-end
+Covers the fact-store contract on both stores, content digests, the
+SQLite store's round tags, metadata and id-native bulk-insert path, SQL
+compilation of UCQ rewritings, and the store-backed chase's error
+surface.  End-to-end
 equivalence properties live in ``test_storage_equivalence.py``;
 store-chase resume exactness in ``test_storage_checkpoint.py``.
 """
@@ -18,7 +19,6 @@ from repro.logic.containment import evaluate_ucq
 from repro.logic.homomorphism import evaluate
 from repro.storage import (
     ColumnarStore,
-    MemoryStore,
     SQLiteStore,
     StoreChaseError,
     chase_into_store,
@@ -26,18 +26,23 @@ from repro.storage import (
     content_digest,
     evaluate_ucq_sql,
     execute_compiled,
-    open_store,
 )
 from repro.workloads import edge_cycle, edge_path, example42_tc
 
-BACKENDS = [MemoryStore, ColumnarStore, lambda: SQLiteStore(":memory:")]
-BACKEND_IDS = ["memory", "columnar", "sqlite"]
+BACKENDS = [ColumnarStore, lambda: SQLiteStore(":memory:")]
+BACKEND_IDS = ["columnar", "sqlite"]
 
 
 @pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
 def store(request):
     with request.param() as handle:
         yield handle
+
+
+# Round tags and metadata live only in the durable store.
+DURABLE = pytest.mark.parametrize(
+    "store", BACKENDS[1:], ids=BACKEND_IDS[1:], indirect=True
+)
 
 
 class TestFactStoreContract:
@@ -55,6 +60,7 @@ class TestFactStoreContract:
         assert store.add(atom) is False
         assert len(store) == 1
 
+    @DURABLE
     def test_round_tags(self, store):
         base = parse_instance("E(a, b)")
         derived = parse_instance("R(a, b)")
@@ -89,26 +95,11 @@ class TestFactStoreContract:
             backward.add_many(reversed(facts))
             assert forward.digest() == backward.digest()
 
+    @DURABLE
     def test_meta_round_trip(self, store):
         assert store.get_meta("missing") is None
         store.set_meta("k", "v")
         assert store.get_meta("k") == "v"
-
-
-class TestOpenStore:
-    def test_no_path_means_memory(self):
-        with open_store() as handle:
-            assert isinstance(handle, MemoryStore)
-            assert handle.backend == "memory"
-
-    def test_path_means_sqlite(self, tmp_path):
-        path = tmp_path / "facts.db"
-        with open_store(str(path)) as handle:
-            assert handle.backend == "sqlite"
-            handle.add_many(edge_path(3))
-        assert path.exists()
-        with open_store(str(path)) as handle:
-            assert len(handle) == 3
 
 
 class TestSQLiteStore:

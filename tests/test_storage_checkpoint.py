@@ -103,13 +103,40 @@ class TestRuleTextConstants:
                 outcome = update_store_chase(store, passed, add=add)
                 assert outcome.digest() == expected, name
 
-    def test_legacy_bare_constant_text_still_resumes(self, tmp_path):
+
+class TestSchemaVersion:
+    """Store-chase state from another schema version is refused, untouched."""
+
+    THEORY = "E(x, y) -> T(x, y)\nT(x, y), E(y, z) -> T(x, z)"
+
+    def test_v1_state_is_refused_everywhere(self, tmp_path):
+        from repro.cli import main
+
         theory = parse_theory(self.THEORY)
-        legacy = "".join(f"{rule!r}\n" for rule in theory)
-        assert "'c'" not in legacy
-        expected = content_digest(chase(theory, parse_instance("P(a). P(b)")).instance)
-        with self._stopped_store(str(tmp_path / "legacy.db")) as store:
-            store.set_meta("storechase.theory", legacy)
-            assert resume_store_chase(store, theory).digest() == expected
-            outcome = update_store_chase(store, theory, add=parse_instance("P(d)"))
-            assert outcome.terminated
+        path = str(tmp_path / "v1.db")
+        with SQLiteStore(path) as store:
+            chase_into_store(
+                theory,
+                parse_instance("E(a, b). E(b, c)"),
+                store,
+                budget=ChaseBudget(max_rounds=1),
+            )
+            store.set_meta("storechase.schema", "repro-storechase/1")
+            digest = store.digest()
+        with SQLiteStore(path) as store:  # a fresh connection: only the file
+            with pytest.raises(StoreChaseError, match="unsupported store-chase schema"):
+                chase_into_store(theory, None, store)
+            with pytest.raises(StoreChaseError, match="unsupported store-chase schema"):
+                resume_store_chase(store, theory)
+            with pytest.raises(StoreChaseError, match="unsupported store-chase schema"):
+                update_store_chase(store, theory, add=parse_instance("E(c, d)"))
+        code = main(
+            [
+                "chase", "-e", self.THEORY, "--resume",
+                "--backend", "sqlite", "--db", path, "--json",
+            ]
+        )
+        assert code == 2
+        with SQLiteStore(path) as store:
+            assert store.get_meta("storechase.schema") == "repro-storechase/1"
+            assert store.digest() == digest

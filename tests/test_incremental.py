@@ -22,6 +22,7 @@ from repro.logic.signature import Predicate
 from repro.logic.terms import Constant
 from repro.storage import (
     SQLiteStore,
+    StoreChaseError,
     chase_into_store,
     content_digest,
     instance_digest,
@@ -535,6 +536,21 @@ class TestStoreUpdates:
             assert store.digest() == scratch_digest(
                 TC, {fact("E(b, c)."), fact("E(a, c).")}
             )
+
+    def test_refuses_pre_supports_databases(self):
+        # Builds before support tracking stamped their state
+        # repro-storechase/1 (with storechase.supports=0); a DRed
+        # retraction needs support edges, so the schema check refuses
+        # such a store before anything is written.
+        with SQLiteStore(":memory:") as store:
+            chase_into_store(TC, parse_instance("E(a, b). E(b, c)."), store, budget=BUDGET)
+            store.set_meta("storechase.schema", "repro-storechase/1")
+            store.set_meta("storechase.supports", "0")
+            digest = store.digest()
+            with pytest.raises(StoreChaseError, match="unsupported store-chase schema"):
+                update_store_chase(store, TC, retract=[fact("E(a, b).")])
+            assert store.digest() == digest
+            assert store.get_meta("storechase.schema") == "repro-storechase/1"
 
     def test_noop_update(self):
         with SQLiteStore(":memory:") as store:

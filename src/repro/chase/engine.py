@@ -521,7 +521,6 @@ def _run_rounds(
     derivations: dict[Atom, Derivation],
     rounds: int,
     budget: ChaseBudget,
-    track_provenance: bool,
     semi_naive: bool,
     delta: Instance | None,
     delta_terms: set[Term] | None,
@@ -605,8 +604,7 @@ def _run_rounds(
         old_domain = current.domain()
         for new_atom in produced:
             current.add(new_atom)
-        if track_provenance:
-            derivations.update(produced)
+        derivations.update(produced)
         round_added.append(frozenset(produced))
         delta = Instance(produced)
         delta_terms = current.domain() - old_domain
@@ -693,7 +691,6 @@ def chase(
     theory: Theory,
     base: Instance,
     budget: ChaseBudget | None = None,
-    track_provenance: bool = True,
     semi_naive: bool = True,
     telemetry: Telemetry | None = None,
     backend: str | None = None,
@@ -729,7 +726,7 @@ def chase(
     instance each round (ablation A1) — same result atom-for-atom thanks
     to Skolem determinism, strictly more matching work.
 
-    ``telemetry`` lets callers supply a hook-carrying collector; by default
+    ``telemetry`` lets callers supply a collector to record into; by default
     a fresh one is created and returned as ``ChaseResult.stats``.
     """
     budget = budget if budget is not None else ChaseBudget()
@@ -749,7 +746,6 @@ def chase(
                 derivations,
                 rounds=budget.max_rounds,
                 budget=budget,
-                track_provenance=track_provenance,
                 semi_naive=semi_naive,
                 delta=None,
                 delta_terms=None,
@@ -822,7 +818,6 @@ def resume(
                 derivations,
                 rounds=extra_rounds,
                 budget=budget,
-                track_provenance=True,
                 semi_naive=True,
                 delta=delta,
                 delta_terms=delta_terms,

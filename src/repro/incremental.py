@@ -355,7 +355,6 @@ def incremental_update(
                     derivations,
                     rounds=budget.max_rounds,
                     budget=budget,
-                    track_provenance=True,
                     semi_naive=True,
                     delta=Instance(seed),
                     delta_terms=current.domain() - old_domain,

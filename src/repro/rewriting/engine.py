@@ -103,7 +103,7 @@ class RewritingResult:
         universal head variable: that rule fires on the empty instance
         too, so a boolean query holds on every instance.  Answering reads
         both flags in one place,
-        :func:`repro.rewriting.answering.finish_rewriting_answers`.
+        :func:`repro.rewriting.answering._finish_rewriting`.
     ``explored``
         Number of rewriting steps attempted (a work measure for benches).
     ``stats``
@@ -393,7 +393,7 @@ def rewrite(
     empty-bodied rules) is skipped — expressing it would need a
     domain-membership predicate outside CQ syntax.
 
-    ``telemetry`` lets callers supply a hook-carrying collector; by default
+    ``telemetry`` lets callers supply a collector to record into; by default
     a fresh one is created and returned as ``RewritingResult.stats``.
     """
     budget = budget or RewritingBudget()
@@ -412,7 +412,7 @@ def rewrite(
     always_true_on_empty = False
     stopped = False
 
-    with telemetry.phase("rewrite"):
+    with telemetry.timer("rewrite"):
         while frontier and not stopped:
             batch = frontier
             frontier = []

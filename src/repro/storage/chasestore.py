@@ -593,9 +593,7 @@ def chase_into_store(
         # initialised store or an untouched one, never facts without
         # ``storechase.*`` state.
         if base is not None:
-            for item in base:
-                store.buffer(item, round_=0)
-            store._flush_pending()
+            store._insert_atoms(base, 0)
         store.set_meta("storechase.schema", STORE_CHASE_SCHEMA, commit=False)
         store.set_meta("storechase.theory", theory_text, commit=False)
         rounds_run = 0
@@ -629,17 +627,6 @@ def resume_store_chase(
             store.get_meta("storechase.theory", ""), name="storechase"
         )
     return chase_into_store(theory, None, store, budget=budget, cancel=cancel)
-
-
-def _encode_existing(store: SQLiteStore, item) -> "tuple[int, ...] | None":
-    """Term-id row for an atom, or ``None`` if any term is unknown."""
-    ids = []
-    for term in item.args:
-        term_id = store.term_id(term)
-        if term_id is None:
-            return None
-        ids.append(term_id)
-    return tuple(ids)
 
 
 def _rederive_cone(
@@ -768,7 +755,7 @@ def update_store_chase(
         # ---- resolve the update against the stored facts -------------
         removed_keys: "list[str]" = []
         for item in retract:
-            ids = _encode_existing(store, item)
+            ids = store._row_of(item)
             if ids is None or item not in store:
                 continue
             key = fact_key(item.predicate, ids)
@@ -785,7 +772,7 @@ def update_store_chase(
         to_insert = []
         promoted_keys = set()
         for item in add:
-            ids = _encode_existing(store, item)
+            ids = store._row_of(item)
             if ids is None or item not in store:
                 to_insert.append(item)
                 continue
@@ -801,7 +788,7 @@ def update_store_chase(
         counters["delta.retracted_base"] += len(removed_keys)
 
         # ---- ONE transaction: cone deletion, base changes, probe hits
-        # and state (no membership test or len() below: both commit) --
+        # and state (reads never commit, so nothing below lands early) --
         rules = [_StoreRule(prepared, store) for prepared in _prepare_rules(theory)]
         deleted: "set[str]" = set()
         if removed_keys:
@@ -822,9 +809,7 @@ def update_store_chase(
             counters["delta.overdeleted"] += len(deleted) - len(removed_keys)
         if promoted_keys:
             store.delete_supports_of(promoted_keys)
-        for item in to_insert:
-            store.buffer(item, round_=epoch)
-        store._flush_pending()
+        store._insert_atoms(to_insert, epoch)
         delta = {item.predicate for item in to_insert}
         if deleted:
             delta |= _rederive_cone(store, rules, deleted, epoch)

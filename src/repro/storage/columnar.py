@@ -25,8 +25,8 @@ representation serves in O(1) with zero decode cost; contiguous columns
 only pay off for full scans, which the kernel never does once the
 indexes exist.  (numpy is also not a dependency of this package.)
 
-The store is a plain set of facts: round tags, chase metadata and a
-write buffer belong to the durable
+The store is a plain set of facts: round tags and chase metadata
+belong to the durable
 :class:`~repro.storage.sqlite.SQLiteStore` (a chase run's rounds are its
 ``ChaseResult.round_added``, Observation 8), and the dictionary keeps
 each term's tuple key itself, with no text payload.
@@ -144,19 +144,6 @@ class ColumnarStore(TermInterningMixin):
             relation = _Relation(predicate.arity)
             self._relations[predicate] = relation
         return relation
-
-    def _encode(self, item: Atom) -> tuple:
-        return tuple(self.intern_term(term) for term in item.args)
-
-    def _row_of(self, item: Atom) -> "tuple | None":
-        """``item``'s id row without interning; None when a term is unknown."""
-        ids = []
-        for term in item.args:
-            term_id = self.term_id(term)
-            if term_id is None:
-                return None
-            ids.append(term_id)
-        return tuple(ids)
 
     def _decode(self, predicate: Predicate, row: tuple) -> Atom:
         return Atom(predicate, tuple(self.term_by_id(t) for t in row))

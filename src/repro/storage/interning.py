@@ -23,7 +23,9 @@ equal facts produce equal digests regardless of backend.
 
 :class:`TermInterningMixin` implements the shared surface
 (``intern_term``/``intern_function``/``function_parts``/``term_id``/
-``term_by_id``/``decode_rows``/``display_of``) over three storage
+``term_by_id``/``decode_rows``/``display_of``) and the fact codec
+(``_encode`` interns an atom's terms into an id row, ``_row_of`` looks
+them up without interning) over three storage
 primitives a concrete store provides:
 
 ``_dict_lookup(key)``
@@ -45,9 +47,12 @@ primitives; ``_trim_term_cache`` lets a durable backend bound them
 
 from __future__ import annotations
 
-from typing import Collection
+from typing import TYPE_CHECKING, Collection
 
 from ..logic.terms import Constant, FunctionTerm, Term, Variable
+
+if TYPE_CHECKING:
+    from ..logic.atoms import Atom
 
 
 class TermInterningMixin:
@@ -176,6 +181,20 @@ class TermInterningMixin:
         self._trim_term_cache(self._ids_by_term)
         self._ids_by_term[term] = cached
         return cached
+
+    def _encode(self, item: "Atom") -> "tuple[int, ...]":
+        """``item``'s id row, interning each term (the fact codec)."""
+        return tuple(self.intern_term(term) for term in item.args)
+
+    def _row_of(self, item: "Atom") -> "tuple[int, ...] | None":
+        """``item``'s id row without interning; ``None`` when a term is unknown."""
+        ids = []
+        for term in item.args:
+            term_id = self.term_id(term)
+            if term_id is None:
+                return None
+            ids.append(term_id)
+        return tuple(ids)
 
     def term_by_id(self, term_id: int) -> Term:
         """Decode a dictionary id back to a Python term."""

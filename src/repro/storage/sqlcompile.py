@@ -194,7 +194,6 @@ def execute_compiled(
     cross-disjunct deduplication happens inside SQLite too; its rows are
     fetched in one call and decoded by the store's ``decode_rows``.
     """
-    store.flush()
     counters = store.stats.counters
     if not compiled.selects:
         return set()

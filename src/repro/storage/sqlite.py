@@ -28,16 +28,17 @@ This is the durable data plane behind ``backend="sqlite"``.  Schema:
     the catalog mapping predicates to table names, and a key/value side
     table for the store chase's persisted state.
 
-Writes are **batched**: ``add``/``add_many`` append to a buffer that is
-flushed with one ``executemany`` per predicate inside a single
-transaction once ``batch_size`` rows accumulate (or on any read).
-Deduplication is ``INSERT OR IGNORE`` against the primary key — re-adding
-a fact never changes its round tag, which is exactly the "first round it
-appeared in" semantics of Definition 6.
+Writes go **straight through**: ``add``/``add_many`` insert with one
+``executemany`` per predicate and commit; the store chase inserts with
+:meth:`~SQLiteStore.insert_rows` inside its per-round transaction and
+commits once per round.  Reads never commit, so a read inside an open
+round leaves it open.  Deduplication is ``INSERT OR IGNORE`` against the
+primary key — re-adding a fact never changes its round tag, which is
+exactly the "first round it appeared in" semantics of Definition 6.
 
 Concurrency: connections open with ``PRAGMA busy_timeout`` so writers
-wait for each other at the SQLite level, and every commit (plus the
-batched write paths) runs under a bounded jittered-backoff retry on
+wait for each other at the SQLite level, and every commit (plus every
+insert and delete) runs under a bounded jittered-backoff retry on
 ``database is locked`` — transient contention between processes sharing
 a database file degrades to latency, not an exception (counted under
 ``store.lock_retries``; see ``docs/robustness.md``).
@@ -57,7 +58,7 @@ threadpool workers; callers serialize access themselves (the service
 holds a per-theory write lock, ``OMQASession`` a per-session lock).
 
 Telemetry (``store.*`` counters, see ``docs/architecture.md`` §6):
-``store.writes`` facts submitted, ``store.batches`` buffer flushes,
+``store.writes`` facts submitted, ``store.batches`` insert batches,
 ``store.sql_queries`` SELECT statements executed, ``store.rows_scanned``
 result rows fetched, ``store.terms_interned`` dictionary inserts,
 ``store.lock_retries`` lock-contention retries.
@@ -173,7 +174,8 @@ class SQLiteStore(TermInterningMixin):
     """The durable fact store: facts, round tags and chase state in SQLite.
 
     ``path`` may be a filesystem path or SQLite's ``":memory:"``.
-    ``batch_size`` bounds the write buffer (rows, across predicates).
+    ``batch_size`` bounds how many produced rows the store chase gathers
+    per rule source before it inserts them (rows, across predicates).
     """
 
     def __init__(
@@ -192,7 +194,7 @@ class SQLiteStore(TermInterningMixin):
         self._conn.executescript(_SCHEMA)
         if wal:
             # Durability tuned for a data plane, not a ledger: WAL keeps
-            # readers unblocked during chase flushes, NORMAL sync is safe
+            # readers unblocked during chase rounds, NORMAL sync is safe
             # against process crashes (a power loss may drop the last
             # committed rounds; the store chase resumes from what remains).
             granted = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()
@@ -210,8 +212,6 @@ class SQLiteStore(TermInterningMixin):
         self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         self._tables: dict[Predicate, str] = {}
         self._init_term_caches()
-        self._pending: dict[Predicate, list[tuple]] = {}
-        self._pending_rows = 0
         for name, arity, table in self._conn.execute(
             "SELECT name, arity, table_name FROM repro_predicates"
         ):
@@ -265,16 +265,13 @@ class SQLiteStore(TermInterningMixin):
 
         SQLite rolls back rows *and* in-transaction DDL, so everything
         the Python layer learned during the transaction is suspect: the
-        write buffer is dropped, the interning caches and the compiled
-        store-chase rules are reset (they may hold ids of dictionary rows
+        interning caches are reset (they may hold ids of dictionary rows
         that no longer exist) and the predicate-table catalog is rebuilt
         from ``repro_predicates``.
         The store chase calls this when a deadline or cancellation
         abandons a round mid-insert — the database then holds exactly
         the last committed round.
         """
-        self._pending.clear()
-        self._pending_rows = 0
         self.connection.rollback()
         self._init_term_caches()
         self.reload_catalog()
@@ -373,74 +370,33 @@ class SQLiteStore(TermInterningMixin):
         return None if row is None else (_term_key(row[0], row[1]), row[2])
 
     # ------------------------------------------------------------------
-    # Writes (buffered, batched)
+    # Writes
     # ------------------------------------------------------------------
-    def _encode(self, item: Atom, round_: int) -> tuple:
-        if item.predicate.arity == 0:
-            return (1, round_)
-        return tuple(self.intern_term(term) for term in item.args) + (round_,)
-
     def add(self, item: Atom, round_: int = 0) -> bool:
-        """Add one fact; returns True when it was not present before.
-
-        The membership probe forces a buffer flush, so prefer
-        :meth:`add_many` on hot paths.
-        """
-        present = item in self
-        self.add_many((item,), round_=round_)
-        return not present
+        """Add one fact; returns True when it was not present before."""
+        return self.add_many((item,), round_=round_) == 1
 
     def add_many(self, items: Iterable[Atom], round_: int = 0) -> int:
-        """Buffer facts for insertion; returns how many were *new*.
-
-        The count is exact (``INSERT OR IGNORE`` against the primary
-        key), measured as the connection's change-count delta across the
-        flush.
-        """
-        self._flush_pending()  # drain unrelated buffered rows first
-        for item in items:
-            self.stats.counters["store.writes"] += 1
-            self.table_for(item.predicate, create=True)
-            self._pending.setdefault(item.predicate, []).append(
-                self._encode(item, round_)
-            )
-            self._pending_rows += 1
-        inserted = self._flush_pending()
+        """Insert facts and commit; returns how many were *new*."""
+        inserted = self._insert_atoms(items, round_)
         self.commit()
         return inserted
 
-    def _flush_pending(self) -> int:
-        """Write the buffer out; returns how many rows were genuinely new.
+    def _insert_atoms(self, items: Iterable[Atom], round_: int) -> int:
+        """Insert facts at round tag ``round_`` without committing.
 
-        The count is the connection's change delta across the
-        ``executemany`` calls alone — catalog inserts and term interning
-        happen at buffering time, so they never pollute it.
+        The facts are interned and grouped by predicate, and each group
+        goes in with one :meth:`insert_rows`; returns how many were new.
+        The store chase loads its base facts this way, inside the
+        transaction that also writes its state.
         """
-        if not self._pending_rows:
-            return 0
-        conn = self.connection
-        self.stats.counters["store.batches"] += 1
-        before = conn.total_changes
-        for predicate, rows in self._pending.items():
-            table = self._tables[predicate]
-            if predicate.arity:
-                slots = ", ".join("?" for _ in range(predicate.arity + 1))
-                self._guarded(
-                    lambda: conn.executemany(
-                        f"INSERT OR IGNORE INTO {table} VALUES ({slots})", rows
-                    )
-                )
-            else:
-                self._guarded(
-                    lambda: conn.executemany(
-                        f"INSERT OR IGNORE INTO {table} (present, round) "
-                        "VALUES (?, ?)",
-                        rows,
-                    )
-                )
-        self._pending.clear()
-        self._pending_rows = 0
-        return conn.total_changes - before
+        groups: "dict[Predicate, list[tuple[int, ...]]]" = {}
+        for item in items:
+            groups.setdefault(item.predicate, []).append(self._encode(item))
+        return sum(
+            self.insert_rows(predicate, rows, round_)
+            for predicate, rows in groups.items()
+        )
 
     def insert_rows(
         self, predicate: Predicate, rows: "list[tuple[int, ...]]", round_: int
@@ -450,11 +406,12 @@ class SQLiteStore(TermInterningMixin):
         The store-backed chase's write path: rows are tuples of term ids
         (no ``Atom`` objects), deduplicated by the primary key with one
         ``executemany`` — re-proposed facts keep their original round
-        tag, matching Definition 6's first-appearance semantics.
+        tag, matching Definition 6's first-appearance semantics.  The
+        count is the connection's change delta across that statement
+        alone.  No commit: the caller owns the transaction.
         """
         if not rows:
             return 0
-        self._flush_pending()
         table = self.table_for(predicate, create=True)
         conn = self.connection
         counters = self.stats.counters
@@ -478,31 +435,10 @@ class SQLiteStore(TermInterningMixin):
             )
         return conn.total_changes - before
 
-    def buffer(self, item: Atom, round_: int = 0) -> None:
-        """Append to the write buffer, flushing at ``batch_size`` rows.
-
-        The bulk-load path (chase rounds, instance loads): no membership
-        answer, just throughput.
-        """
-        self.stats.counters["store.writes"] += 1
-        self.table_for(item.predicate, create=True)
-        self._pending.setdefault(item.predicate, []).append(
-            self._encode(item, round_)
-        )
-        self._pending_rows += 1
-        if self._pending_rows >= self.batch_size:
-            self._flush_pending()
-
-    def flush(self) -> None:
-        self._flush_pending()
-        if self._conn is not None:
-            self.commit()
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        self.flush()
         total = 0
         for table in self._tables.values():
             row = self._select(f"SELECT COUNT(*) FROM {table}").fetchone()
@@ -510,21 +446,17 @@ class SQLiteStore(TermInterningMixin):
         return total
 
     def __contains__(self, item: Atom) -> bool:
-        self.flush()
         table = self._tables.get(item.predicate)
         if table is None:
             return False
         if item.predicate.arity == 0:
             return self._select(f"SELECT 1 FROM {table} LIMIT 1").fetchone() is not None
-        ids = []
-        for term in item.args:
-            term_id = self.term_id(term)
-            if term_id is None:
-                return False
-            ids.append(term_id)
+        ids = self._row_of(item)
+        if ids is None:
+            return False
         where = " AND ".join(f"a{i} = ?" for i in range(item.predicate.arity))
         row = self._select(
-            f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", tuple(ids)
+            f"SELECT 1 FROM {table} WHERE {where} LIMIT 1", ids
         ).fetchone()
         return row is not None
 
@@ -533,7 +465,6 @@ class SQLiteStore(TermInterningMixin):
             yield from self.facts(predicate)
 
     def predicates(self) -> set[Predicate]:
-        self.flush()
         live = set()
         for predicate, table in self._tables.items():
             if self._select(f"SELECT 1 FROM {table} LIMIT 1").fetchone():
@@ -541,7 +472,6 @@ class SQLiteStore(TermInterningMixin):
         return live
 
     def facts(self, predicate: Predicate) -> Iterator[Atom]:
-        self.flush()
         table = self._tables.get(predicate)
         if table is None:
             return
@@ -556,7 +486,6 @@ class SQLiteStore(TermInterningMixin):
             yield Atom(predicate, tuple(self.term_by_id(term_id) for term_id in row))
 
     def max_round(self) -> int:
-        self.flush()
         highest = 0
         for table in self._tables.values():
             row = self._select(f"SELECT MAX(round) FROM {table}").fetchone()
@@ -565,7 +494,6 @@ class SQLiteStore(TermInterningMixin):
         return highest
 
     def atoms_in_round(self, round_: int) -> frozenset[Atom]:
-        self.flush()
         collected = []
         for predicate, table in self._tables.items():
             if predicate.arity == 0:
@@ -587,7 +515,6 @@ class SQLiteStore(TermInterningMixin):
 
     def count_in_round(self, round_: int) -> int:
         """How many facts carry round tag ``round_`` (no decode)."""
-        self.flush()
         total = 0
         for table in self._tables.values():
             row = self._select(
@@ -606,8 +533,6 @@ class SQLiteStore(TermInterningMixin):
         debris from older, non-transactional layouts and makes resume
         idempotent).  Returns how many rows were removed.
         """
-        self._pending.clear()
-        self._pending_rows = 0
         conn = self.connection
         before = conn.total_changes
         for table in self._tables.values():
@@ -692,7 +617,6 @@ class SQLiteStore(TermInterningMixin):
         support-free (mirroring the in-memory engine, which records a
         derivation only when the produced atom is genuinely new).
         """
-        self._flush_pending()
         existing: set[str] = set()
         by_predicate: "dict[Predicate, list[tuple[str, tuple[int, ...]]]]" = {}
         for key in keys:
@@ -727,7 +651,6 @@ class SQLiteStore(TermInterningMixin):
         caller lands the deletions, the support cleanup and the updated
         chase state in one transaction.
         """
-        self._flush_pending()
         conn = self.connection
         before = conn.total_changes
         for key in keys:
@@ -752,7 +675,6 @@ class SQLiteStore(TermInterningMixin):
         Matches :func:`~repro.storage.base.content_digest` of the same
         facts exactly — no ``Atom`` objects are built.
         """
-        self.flush()
         rendered: list[str] = []
         for predicate, table in self._tables.items():
             if predicate.arity == 0:
@@ -778,8 +700,6 @@ class SQLiteStore(TermInterningMixin):
         compilation prunes against the tables and constants present, so
         the session clears its compiled-SQL cache on every reload.
         """
-        self._pending.clear()
-        self._pending_rows = 0
         for table in self._tables.values():
             self.connection.execute(f"DELETE FROM {table}")
         self.connection.execute("DELETE FROM repro_supports")
@@ -812,7 +732,6 @@ class SQLiteStore(TermInterningMixin):
     # ------------------------------------------------------------------
     def close(self) -> None:
         if self._conn is not None:
-            self._flush_pending()
             self._guarded(self._conn.commit)
             self._conn.close()
             self._conn = None

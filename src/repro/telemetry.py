@@ -3,10 +3,10 @@
 Every long-running engine in this repository (the semi-oblivious chase,
 the homomorphism search underneath it, rewriting saturation) carries a
 :class:`Telemetry` object: a bag of integer counters, monotonic phase
-timers, per-round records and optional event hooks.  The goal is to make
-budget blow-ups *explainable* — when a chase truncates or a rewriting
-marks itself incomplete, the stats say which round, which rule shape and
-which index buckets ate the time.
+timers and per-round records.  The goal is to make budget blow-ups
+*explainable* — when a chase truncates or a rewriting marks itself
+incomplete, the stats say which round, which rule shape and which index
+buckets ate the time.
 
 Design constraints:
 
@@ -92,7 +92,7 @@ delta.rederive_probes / delta.rounds``
 ``store.writes / store.batches / store.sql_queries / store.rows_scanned /
 store.terms_interned``
     the storage subsystem (``repro.storage``): facts submitted to a
-    store, write-buffer flushes, SELECT statements executed (compiled
+    store, insert batches, SELECT statements executed (compiled
     rewritings and store-chase rounds included), result rows fetched
     back into Python, and term-dictionary inserts;
 ``chase.deadline_hit / chase.cancelled / store.lock_retries``
@@ -108,49 +108,30 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
-
-# An event hook receives (event name, payload); payloads are the same
-# plain dicts that end up in ``as_dict()["rounds"]``.
-Hook = Callable[[str, dict], None]
+from typing import Any, Iterator
 
 
 class Telemetry:
-    """Counters + phase timers + per-round records + event hooks."""
+    """Counters + phase timers + per-round records."""
 
-    __slots__ = ("counters", "phases", "rounds", "hooks")
+    __slots__ = ("counters", "phases", "rounds")
 
-    def __init__(self, hooks: Iterator[Hook] | tuple[Hook, ...] = ()) -> None:
+    def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
         self.phases: dict[str, float] = {}
         self.rounds: list[dict[str, Any]] = []
-        self.hooks: list[Hook] = list(hooks)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def count(self, name: str, amount: int = 1) -> None:
-        """Bump a counter (dotted ``subsystem.metric`` name)."""
-        self.counters[name] += amount
-
     def gauge_max(self, name: str, value: int) -> None:
         """Track the maximum a quantity reaches (e.g. queue length)."""
         if value > self.counters.get(name, 0):
             self.counters[name] = value
 
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Accumulate wall time under ``name`` (monotonic clock)."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.phases[name] = self.phases.get(name, 0.0) + elapsed
-
-    @contextmanager
     def timer(self, name: str) -> Iterator[None]:
-        """Like :meth:`phase`, but exception unwinds are first-class.
+        """Accumulate wall time under ``name`` (monotonic clock).
 
         The elapsed time is recorded even when the timed block raises —
         a deadline or cancellation unwinding through an engine must not
@@ -171,16 +152,9 @@ class Telemetry:
             elapsed = time.perf_counter() - started
             self.phases[name] = self.phases.get(name, 0.0) + elapsed
 
-    def record_round(self, **fields: Any) -> dict[str, Any]:
-        """Append one per-round record and notify hooks with it."""
-        entry = dict(fields)
-        self.rounds.append(entry)
-        self.emit("round", entry)
-        return entry
-
-    def emit(self, event: str, payload: dict[str, Any]) -> None:
-        for hook in self.hooks:
-            hook(event, payload)
+    def record_round(self, **fields: Any) -> None:
+        """Append one per-round record."""
+        self.rounds.append(fields)
 
     # ------------------------------------------------------------------
     # Aggregation / export
@@ -188,10 +162,10 @@ class Telemetry:
     def fork(self) -> "Telemetry":
         """A copy to continue from (``resume`` seeds its stats this way).
 
-        The copy shares the hooks but owns its counters and records, so
-        the original run's stats stay immutable history.
+        The copy owns its counters and records, so the original run's
+        stats stay immutable history.
         """
-        copy = Telemetry(tuple(self.hooks))
+        copy = Telemetry()
         copy.counters = Counter(self.counters)
         copy.phases = dict(self.phases)
         copy.rounds = [dict(entry) for entry in self.rounds]

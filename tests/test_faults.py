@@ -246,8 +246,7 @@ class TestSQLiteHardening:
             store.add_many(chain(2))
             committed = len(store)
             # Open a transaction with new facts and new terms, then drop it.
-            store.buffer(next(iter(parse_instance("Fresh(z1, z2)."))))
-            store._flush_pending()
+            store._insert_atoms(parse_instance("Fresh(z1, z2)."), 0)
             store.rollback()
             assert len(store) == committed
             # The catalog must not advertise the rolled-back table.

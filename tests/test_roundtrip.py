@@ -60,17 +60,6 @@ class TestChaseDeterminism:
         assert first.instance == second.instance
         assert first.round_added == second.round_added
 
-    def test_provenance_off_same_atoms(self):
-        base = edge_path(3)
-        with_prov = chase(exercise23(), base, budget=ChaseBudget(max_rounds=4, max_atoms=50_000))
-        without = chase(
-            exercise23(), base,
-            budget=ChaseBudget(max_rounds=4, max_atoms=50_000),
-            track_provenance=False,
-        )
-        assert with_prov.instance == without.instance
-        assert without.derivations == {}
-
 
 class TestCanonicalKeys:
     def _rename(self, mq: MarkedQuery, suffix: str) -> MarkedQuery:

@@ -113,13 +113,26 @@ class TestSQLiteStore:
             assert reader.to_instance() == facts
             assert reader.digest() == digest
 
-    def test_buffered_writes_flush(self):
-        with SQLiteStore(":memory:", batch_size=4) as handle:
-            for atom in edge_path(10):
-                handle.buffer(atom)
-            handle.flush()
-            assert len(handle) == 10
-            assert handle.stats.counters["store.batches"] >= 2
+    def test_reads_inside_a_transaction_do_not_commit(self):
+        from repro.logic.signature import Predicate
+        from repro.logic.terms import Constant
+
+        edge = Predicate("E", 2)
+        with SQLiteStore(":memory:") as handle:
+            handle.add_many(edge_path(1))
+            committed = handle.digest()
+            fresh = next(iter(parse_instance("E(x, y)")))
+            ids = tuple(handle.intern_term(Constant(name)) for name in ("x", "y"))
+            handle.insert_rows(edge, [ids], round_=1)
+            # Reads see the open transaction's row ...
+            assert len(handle) == 2
+            assert fresh in handle
+            assert handle.digest() != committed
+            # ... and leave the transaction open, so rollback drops it.
+            handle.rollback()
+            assert len(handle) == 1
+            assert fresh not in handle
+            assert handle.digest() == committed
 
     def test_insert_rows_counts_new_only(self):
         from repro.logic.signature import Predicate

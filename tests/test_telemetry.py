@@ -20,8 +20,8 @@ from repro.telemetry import Telemetry, validate_stats_dict
 class TestTelemetryPrimitives:
     def test_count_and_gauge(self):
         t = Telemetry()
-        t.count("x.a")
-        t.count("x.a", 4)
+        t.counters["x.a"] += 1
+        t.counters["x.a"] += 4
         t.gauge_max("x.peak", 3)
         t.gauge_max("x.peak", 2)
         assert t.counters["x.a"] == 5
@@ -29,33 +29,28 @@ class TestTelemetryPrimitives:
 
     def test_phase_accumulates(self):
         t = Telemetry()
-        with t.phase("p"):
+        with t.timer("p"):
             pass
         first = t.phases["p"]
-        with t.phase("p"):
+        with t.timer("p"):
             pass
         assert t.phases["p"] >= first
-
-    def test_hooks_see_round_records(self):
-        seen = []
-        t = Telemetry(hooks=(lambda event, payload: seen.append((event, payload)),))
-        entry = t.record_round(round=1, matches=2)
-        assert seen == [("round", entry)]
+        assert "p.interrupted" not in t.counters
 
     def test_fork_is_independent(self):
         t = Telemetry()
-        t.count("a")
+        t.counters["a"] += 1
         t.record_round(round=1)
         copy = t.fork()
-        copy.count("a")
+        copy.counters["a"] += 1
         copy.record_round(round=2)
         assert t.counters["a"] == 1 and copy.counters["a"] == 2
         assert len(t.rounds) == 1 and len(copy.rounds) == 2
 
     def test_merge_sums(self):
         left, right = Telemetry(), Telemetry()
-        left.count("a", 2)
-        right.count("a", 3)
+        left.counters["a"] += 2
+        right.counters["a"] += 3
         right.record_round(round=1)
         left.merge(right)
         assert left.counters["a"] == 5
@@ -63,8 +58,8 @@ class TestTelemetryPrimitives:
 
     def test_as_dict_is_json_ready(self):
         t = Telemetry()
-        t.count("a")
-        with t.phase("p"):
+        t.counters["a"] += 1
+        with t.timer("p"):
             pass
         t.record_round(round=1, seconds=0.5, terminated=True)
         document = t.as_dict()
@@ -251,3 +246,20 @@ class TestRewriteCounters:
         assert counters["rewrite.steps"] == 1
         assert counters["rewrite.queue_peak"] >= 1
         assert "rewrite" in result.stats.phases
+
+    def test_unwinding_rewrite_is_marked_interrupted(self, monkeypatch):
+        import repro.rewriting.engine as engine
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(engine, "_piece_rewritings", explode)
+        stats = Telemetry()
+        with pytest.raises(RuntimeError):
+            rewrite(
+                parse_theory("Trusted(x) -> Admitted(x)"),
+                parse_query("q(v) := Admitted(v)"),
+                telemetry=stats,
+            )
+        assert stats.counters["rewrite.interrupted"] == 1
+        assert "rewrite" in stats.phases

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Documentation checker: links, anchors, and executable examples.
+"""Documentation checker: links, anchors, executable examples, API references.
 
 Run from the repository root (CI's docs job does):
 
     python tools/check_docs.py
 
-Three checks, all zero-dependency:
+Four checks, all zero-dependency:
 
 1. **Relative links resolve.**  Every ``[text](target)`` in the checked
    markdown files whose target is not an URL must point at an existing
@@ -19,12 +19,19 @@ Three checks, all zero-dependency:
    ``docs/service.md`` is executed with ``src/`` on ``sys.path``; a
    failing example fails the build.  Examples in those files are a
    documented contract, not decoration.
+4. **API references resolve.**  Every fully qualified ``repro.*`` Sphinx
+   role (``:func:``, ``:class:``, ``:meth:``, ``:mod:``, ``:data:``,
+   ``:attr:``) in a docstring or comment under ``src/repro/`` must name
+   something that exists: the longest importable module prefix is
+   imported and the rest is looked up with ``getattr``.  This catches
+   the references a deletion leaves behind.
 
 Exit code 0 on success, 1 with a per-problem report otherwise.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -51,6 +58,7 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _FENCED = re.compile(r"```[a-z]*\n.*?```", re.DOTALL)
 _PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_API_ROLE = re.compile(r":(?:func|class|meth|mod|data|attr):`~?(repro(?:\.\w+)+)`")
 
 
 def github_slug(heading: str) -> str:
@@ -101,7 +109,6 @@ def check_links(path: Path) -> list[str]:
 
 def run_examples(path: Path) -> list[str]:
     problems: list[str] = []
-    sys.path.insert(0, str(ROOT / "src"))
     text = path.read_text(encoding="utf8")
     for index, block in enumerate(_PYTHON_BLOCK.findall(text)):
         try:
@@ -114,12 +121,47 @@ def run_examples(path: Path) -> list[str]:
     return problems
 
 
+def resolves(target: str) -> bool:
+    """Whether a dotted ``repro.*`` name imports and ``getattr``s cleanly."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[split:]:
+                found = getattr(found, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def api_references() -> list[tuple[str, str]]:
+    """``(file:line, target)`` of every ``repro.*`` role under ``src/repro/``."""
+    references: list[tuple[str, str]] = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        text = path.read_text(encoding="utf8")
+        for match in _API_ROLE.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            references.append((f"{path.relative_to(ROOT)}:{line}", match.group(1)))
+    return references
+
+
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
     problems: list[str] = []
     for path in CHECKED_FILES:
         problems.extend(check_links(path))
     for path in EXECUTED_FILES:
         problems.extend(run_examples(path))
+    references = api_references()
+    problems.extend(
+        f"{where}: dangling reference -> {target}"
+        for where, target in references
+        if not resolves(target)
+    )
     if problems:
         print(f"{len(problems)} documentation problem(s):", file=sys.stderr)
         for problem in problems:
@@ -131,7 +173,8 @@ def main() -> int:
     )
     print(
         f"docs OK: {len(CHECKED_FILES)} files link-checked, "
-        f"{blocks} example block(s) executed"
+        f"{blocks} example block(s) executed, "
+        f"{len(references)} API reference(s) resolved"
     )
     return 0
 

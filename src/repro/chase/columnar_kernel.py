@@ -194,6 +194,40 @@ def _join(
             descend = True
 
 
+def _probe_order(
+    relations: dict, program: RuleProgram, binding: list
+) -> "tuple[int, ...]":
+    """``program.base_order`` sorted by each pattern's smallest index
+    bucket under ``binding`` (its whole relation when nothing in it is
+    bound; 0 when a bound id has no bucket), ties in plan order.
+
+    A head-bound probe pins a few slots the static plan did not know
+    about, so the pattern they make selective goes first.
+    """
+    patterns = program.patterns
+    order = program.base_order
+    if len(order) < 2:
+        return order
+
+    def size(index: int) -> int:
+        predicate, slots = patterns[index]
+        relation = relations.get(predicate)
+        if relation is None:
+            return 0
+        best = len(relation.rows)
+        for position, (is_var, value) in enumerate(slots):
+            term_id = binding[value] if is_var else value
+            if term_id is not None:
+                bucket = relation.indexes[position].get(term_id)
+                if bucket is None:
+                    return 0
+                if len(bucket) < best:
+                    best = len(bucket)
+        return best
+
+    return tuple(sorted(order, key=size))
+
+
 class ColumnarRoundExecutor:
     """A drop-in ``run_round`` executor running the columnar kernel.
 
@@ -388,6 +422,63 @@ class ColumnarRoundExecutor:
         return RoundOutcome(
             produced=produced, matches=matches, dedup_hits=dedup_hits
         )
+
+    def rederive(
+        self, cone: Iterable[Atom], survivors: Instance
+    ) -> dict[Atom, Derivation]:
+        """The cone atoms with a derivation whose body lies in ``survivors``.
+
+        The DRed re-derive of :func:`repro.incremental.incremental_update`
+        on id rows.  Like :meth:`run_round` it searches the mirror, which
+        must hold exactly ``survivors`` (the surviving atoms plus the new
+        base).  One probe per (cone atom, rule head it matches): the
+        atom's id row binds the rule's frontier slots
+        (:meth:`~repro.chase.planner.RuleProgram.bind_head`), then one
+        :func:`_join` of the body, its patterns ordered by
+        :func:`_probe_order`, looks for a first witness (``hom.*``
+        counts the search).  A hit is recorded as a round's derivation
+        is.
+        """
+        store = self.store
+        relations = store._relations
+        heads: dict = {}
+        for prepared, program in zip(self.prepared, self.programs):
+            for predicate, slots in program.heads:
+                heads.setdefault(predicate, []).append((prepared, program, slots))
+        counters = self.telemetry.counters
+        function_parts = store.function_parts
+        term_by_id = store.term_by_id
+        effort = [0, 0, 0, 0]
+        found: dict[Atom, Derivation] = {}
+        for item in cone:
+            rules = heads.get(item.predicate)
+            if rules is None:
+                continue
+            # Interning, not lookup: a Skolem term that only cone atoms
+            # held may be absent from the mirror yet still re-derivable.
+            row = store._encode(item)
+            for prepared, program, slots in rules:
+                binding = program.bind_head(slots, row, function_parts)
+                if binding is None:
+                    continue
+                counters["delta.rederive_probes"] += 1
+                order = _probe_order(relations, program, binding)
+                witness = _join(
+                    relations, program.patterns, order, None, None, binding, effort
+                )
+                if next(witness, None) is None:
+                    continue
+                found[item] = Derivation(
+                    prepared.skolemized.rule,
+                    tuple(
+                        (var, term_by_id(binding[index]))
+                        for var, index in program.sigma_order
+                    ),
+                )
+                break
+        if effort[_NODES] or effort[_SCANNED]:
+            _flush_search_effort(self.telemetry, effort)
+        return found
 
     def _with_universal(
         self,

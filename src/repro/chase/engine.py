@@ -510,6 +510,44 @@ class SequentialRoundExecutor:
                     )
         return RoundOutcome(produced=produced, matches=matches, dedup_hits=dedup_hits)
 
+    def rederive(
+        self, cone: Iterable[Atom], survivors: Instance
+    ) -> dict[Atom, Derivation]:
+        """The cone atoms with a derivation whose body lies in ``survivors``.
+
+        The DRed re-derive of :func:`repro.incremental.incremental_update`
+        over objects, for ``backend="memory"``.  One head-bound probe per
+        (atom, rule head it matches): the skolemized head binds the
+        rule's frontier, then the body is searched with that binding
+        (``hom.*`` counts the search).  The first match found is
+        recorded as the atom's derivation.
+        """
+        from .provenance import _match_ground
+
+        heads: dict = {}
+        for rule in self.prepared:
+            for head in rule.skolemized.head:
+                heads.setdefault(head.predicate, []).append((head, rule))
+        counters = self.telemetry.counters
+        found: dict[Atom, Derivation] = {}
+        for item in cone:
+            for head, rule in heads.get(item.predicate, ()):
+                binding = _match_ground(head, item, {})
+                if binding is None:
+                    continue
+                counters["delta.rederive_probes"] += 1
+                for sigma in iter_pattern_homomorphisms(
+                    rule.body_patterns, survivors, binding, telemetry=self.telemetry
+                ):
+                    found[item] = Derivation(
+                        rule.skolemized.rule,
+                        tuple(sorted(sigma.items(), key=lambda kv: kv[0].name)),
+                    )
+                    break
+                if item in found:
+                    break
+        return found
+
     def close(self) -> None:
         """Nothing to release for the in-process executor."""
 

@@ -148,6 +148,46 @@ class RuleProgram:
         )
         return replace(self, patterns=patterns, heads=heads, bound=True)
 
+    def bind_head(
+        self,
+        slots: tuple,
+        ids: "tuple[int, ...]",
+        function_parts: "Callable[[int], tuple[str, tuple[int, ...]] | None]",
+    ) -> "list | None":
+        """The sigma slots fixed by matching one head's slots to a fact row.
+
+        The inverse of :meth:`head_rows`, run by the re-derive probes of
+        the columnar kernel and the store chase.  A ``"v"`` slot binds
+        its index (a repeated variable must agree), a ``"c"`` slot must
+        equal the fact's id, and an ``"f"`` slot must hold a Skolem term
+        of its functor, whose child ids (``function_parts``) bind the
+        slot's indexes.  Returns one entry per variable, ``None`` where
+        unbound, or ``None`` when the fact does not match the head.
+        """
+        binding: list = [None] * len(self.variables)
+        for slot, term_id in zip(slots, ids):
+            kind = slot[0]
+            if kind == "v":
+                bound = binding[slot[1]]
+                if bound is None:
+                    binding[slot[1]] = term_id
+                elif bound != term_id:
+                    return None
+            elif kind == "c":
+                if slot[1] != term_id:
+                    return None
+            else:
+                parts = function_parts(term_id)
+                if parts is None or parts[0] != slot[1]:
+                    return None
+                for index, child in zip(slot[2], parts[1]):
+                    bound = binding[index]
+                    if bound is None:
+                        binding[index] = child
+                    elif bound != child:
+                        return None
+        return binding
+
     def head_rows(
         self, row, intern_function: Callable[[str, tuple], int]
     ) -> "list[tuple]":

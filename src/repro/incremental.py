@@ -18,10 +18,16 @@ proportional to the change rather than to the fixpoint:
   *deletion cone* — are over-deleted.  Then each cone atom is probed:
   it is matched against every skolemized head of its predicate, each
   match binds that rule's frontier, and the rule body is searched with
-  that binding for a homomorphism into the survivors.  The atoms a probe
-  finds come back as one new round with their new derivations, and
-  together with the genuinely new added facts they seed the semi-naive
-  delta, which recovers everything else.  The result is ``Ch(T, D')``
+  that binding for one witness in the survivors plus the new base.  The
+  round executor owns the probes: on ``backend="columnar"`` they run on
+  the kernel's id rows over its mirror
+  (:meth:`~repro.chase.columnar_kernel.ColumnarRoundExecutor.rederive`),
+  on ``backend="memory"`` as an object homomorphism search
+  (:meth:`~repro.chase.engine.SequentialRoundExecutor.rederive`).  The
+  atoms a probe finds come back as one new round with their new
+  derivations, and together with the genuinely new added facts they
+  seed the semi-naive delta, which recovers everything else.  The
+  result is ``Ch(T, D')``
   atom-for-atom, though the per-round structure (``round_added``) of
   the maintained result generally differs from a from-scratch chase's.
 
@@ -43,12 +49,14 @@ slot: the parent → children provenance index (built once by
 :func:`~repro.chase.provenance.dependents_index`, then patched: edges of
 deleted and promoted atoms out, edges of new derivations in) and, on
 ``backend="columnar"``, the kernel's :class:`~repro.storage.columnar.
-ColumnarStore` mirror (over-deleted rows removed, new rows synced by
-the round loop).  An update takes the slot from its input with one
-atomic ``__dict__.pop``, so the state has exactly one owner and the
-input's instance, derivations and rounds never change; updating an
-older result again rebuilds both lazily.  :func:`repro.chase.chase`
-never sets the slot.
+ColumnarStore` mirror (over-deleted rows removed and new base rows
+inserted before the probes, derived rows synced by the round loop).
+An update builds its executor before it probes, so the first update
+after :func:`repro.chase.chase` probes by id too.  An update takes the
+slot from its input with one atomic ``__dict__.pop``, so the state has
+exactly one owner and the input's instance, derivations and rounds
+never change; updating an older result again rebuilds both lazily.
+:func:`repro.chase.chase` never sets the slot.
 
 Retraction is refused (``ValueError``) for theories with universal head
 variables (the ``true -> exists z. R(x, z)`` rules of ``T_d``): such
@@ -61,8 +69,10 @@ exactly.
 The store-backed analogue is :func:`update_store_chase`, which walks
 the ``repro_supports`` table persisted by
 :func:`repro.storage.chase_into_store` instead of in-memory derivations
-and probes the cone the same way, one ``SELECT … LIMIT 1`` of the rule
-body per probe, with the head's frontier columns bound.
+and probes the cone the same way, with the same head binder
+(:meth:`~repro.chase.planner.RuleProgram.bind_head`) and one
+``SELECT … LIMIT 1`` of the rule body per probe, with the head's
+frontier columns bound.
 
 Counters (``delta.*``, see ``docs/incremental.md``): ``delta.updates``,
 ``delta.noops``, ``delta.added_base``, ``delta.retracted_base``,
@@ -80,23 +90,19 @@ from .chase.engine import (
     CancellationToken,
     ChaseBudget,
     ChaseResult,
-    Derivation,
     _make_executor,
     _prepare_rules,
-    _PreparedRule,
     _resolve_chase_backend,
     _RunControl,
     _run_rounds,
 )
 from .chase.provenance import (
-    _match_ground,
     deletion_cone,
     dependents_index,
     link_derivation,
     unlink_derivation,
 )
 from .logic.atoms import Atom
-from .logic.homomorphism import iter_pattern_homomorphisms
 from .logic.instance import Instance
 from .storage.chasestore import update_store_chase
 from .telemetry import Telemetry
@@ -148,44 +154,6 @@ class _Maintenance:
 
     dependents: dict[Atom, set[Atom]]
     mirror: "ColumnarStore | None"
-
-
-def _rederive(
-    prepared: tuple[_PreparedRule, ...],
-    cone: Iterable[Atom],
-    survivors: Instance,
-    telemetry: Telemetry,
-) -> dict[Atom, Derivation]:
-    """The cone atoms with a derivation whose body lies in ``survivors``.
-
-    One head-bound probe per (atom, rule head it matches): the head
-    binds the rule's frontier, then the body is searched with that
-    binding (``hom.*`` counts the search).  The first match found is
-    recorded as the atom's derivation.
-    """
-    heads: dict = {}
-    for rule in prepared:
-        for head in rule.skolemized.head:
-            heads.setdefault(head.predicate, []).append((head, rule))
-    counters = telemetry.counters
-    found: dict[Atom, Derivation] = {}
-    for item in cone:
-        for head, rule in heads.get(item.predicate, ()):
-            binding = _match_ground(head, item, {})
-            if binding is None:
-                continue
-            counters["delta.rederive_probes"] += 1
-            for sigma in iter_pattern_homomorphisms(
-                rule.body_patterns, survivors, binding, telemetry=telemetry
-            ):
-                found[item] = Derivation(
-                    rule.skolemized.rule,
-                    tuple(sorted(sigma.items(), key=lambda kv: kv[0].name)),
-                )
-                break
-            if item in found:
-                break
-    return found
 
 
 def _check_retraction_supported(theory) -> None:
@@ -318,6 +286,11 @@ def incremental_update(
             derivation = derivations.pop(item, None)
             if derivation is not None:
                 unlink_derivation(dependents, item, derivation)
+        if mirror is not None:
+            # The probes search the mirror; the first round's sync of
+            # the seed inserts these rows again, as no-ops.
+            for item in new_to_instance:
+                mirror.add(item)
 
         # Rebuild the round partition: round 0 is the new base, later
         # rounds keep their surviving members (their true depths), with
@@ -328,26 +301,24 @@ def incremental_update(
             round_added.append(previous - strip)
         rounds_before = len(round_added)
 
-        # Cone atoms a probe re-derives from the survivors return as one
-        # round, deeper than every parent they were found with.
         prepared = _prepare_rules(result.theory)
-        found = _rederive(prepared, deleted, current, work)
-        if found:
-            for item in found:
-                current.add(item)
-            derivations.update(found)
-            round_added.append(frozenset(found))
-
+        if mirror is not None:
+            executor = ColumnarRoundExecutor(prepared, mirror, work)
+        else:
+            executor = _make_executor(backend_name, prepared, current, work)
         terminated = True
         executed_before = counters["chase.rounds"]
-        seed = new_to_instance + list(found)
-        if seed:
-            if mirror is not None:
-                executor = ColumnarRoundExecutor(prepared, mirror, work)
-                mirror = None  # owned by the executor until the run ends
-            else:
-                executor = _make_executor(backend_name, prepared, current, work)
-            try:
+        try:
+            # Cone atoms a probe re-derives from the survivors return as
+            # one round, deeper than every parent they were found with.
+            found = executor.rederive(deleted, current)
+            if found:
+                for item in found:
+                    current.add(item)
+                derivations.update(found)
+                round_added.append(frozenset(found))
+            seed = new_to_instance + list(found)
+            if seed:
                 terminated = _run_rounds(
                     prepared,
                     current,
@@ -362,11 +333,10 @@ def incremental_update(
                     executor=executor,
                     control=_RunControl.start(budget, cancel),
                 )
-            except BaseException:
-                executor.close()
-                raise
-            if backend_name == "columnar":
-                mirror = executor.store
+        except BaseException:
+            executor.close()
+            raise
+        mirror = executor.store if backend_name == "columnar" else None
         rounds_run = len(round_added) - rounds_before
         counters["delta.rounds"] += counters["chase.rounds"] - executed_before
         for produced in round_added[rounds_before:]:

@@ -132,39 +132,17 @@ class _StoreRule:
         ]
         self.plan = prepared.plan
 
-    def bind_head(
-        self, slots: tuple, ids: "tuple[int, ...]", store: SQLiteStore
-    ) -> "dict[int, int] | None":
-        """Sigma positions fixed by matching one head's slots to a fact row.
-
-        A ``"v"`` slot binds its position (a repeated variable must
-        agree), a ``"c"`` slot must equal the fact's id, and an ``"f"``
-        slot must hold a Skolem term of its functor, whose child ids
-        bind the slot's positions.  ``None`` when the fact does not
-        match the head.
-        """
-        binding: dict[int, int] = {}
-        for slot, term_id in zip(slots, ids):
-            if slot[0] == "v":
-                if binding.setdefault(slot[1], term_id) != term_id:
-                    return None
-            elif slot[0] == "c":
-                if slot[1] != term_id:
-                    return None
-            else:
-                parts = store.function_parts(term_id)
-                if parts is None or parts[0] != slot[1]:
-                    return None
-                for index, child in zip(slot[2], parts[1]):
-                    if binding.setdefault(index, child) != child:
-                        return None
-        return binding
-
-    def probe(self, store: SQLiteStore, binding: "dict[int, int]"):
-        """One body row agreeing with ``binding`` over the store, or ``None``."""
+    def probe(self, store: SQLiteStore, binding: list):
+        """One body row agreeing with ``binding`` (a sigma list from
+        :meth:`~repro.chase.planner.RuleProgram.bind_head`) over the
+        store, or ``None``."""
         if not self.body:
             return ()
-        bound = {self.body_vars[index]: value for index, value in binding.items()}
+        bound = {
+            var: value
+            for var, value in zip(self.body_vars, binding)
+            if value is not None
+        }
         return next(self.select(store, limit_one=True, bound=bound), None)
 
     def parent_keys(self, row: tuple) -> "list[str]":
@@ -637,9 +615,11 @@ def _rederive_cone(
 ) -> set:
     """Bring back the cone facts with a derivation over the survivors.
 
-    The store counterpart of :func:`repro.incremental._rederive`: one
-    head-bound probe per (cone fact, rule head it matches) — the head
-    fixes the rule's frontier (:meth:`_StoreRule.bind_head`), and one
+    The store counterpart of
+    :meth:`repro.chase.columnar_kernel.ColumnarRoundExecutor.rederive`:
+    one head-bound probe per (cone fact, rule head it matches).  The
+    head fixes the rule's frontier through the binder the kernel uses
+    too (:meth:`repro.chase.planner.RuleProgram.bind_head`), and one
     ``SELECT … LIMIT 1`` of the body with those columns bound searches
     the survivors plus the new base.  Hits land at round tag ``epoch``
     with their support edges, inside the caller's open transaction.
@@ -656,7 +636,7 @@ def _rederive_cone(
     for key in deleted:
         predicate, ids = parse_fact_key(key)
         for rule, slots in heads.get(predicate, ()):
-            binding = rule.bind_head(slots, ids, store)
+            binding = rule.program.bind_head(slots, ids, store.function_parts)
             if binding is None:
                 continue
             counters["delta.rederive_probes"] += 1

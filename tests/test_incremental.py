@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import incremental_update
+import repro.chase.engine
+import repro.logic.homomorphism
 from repro.chase import ChaseBudget, chase
 from repro.chase.provenance import dependents_index
+from repro.chase.skolem import apply_rule, skolemize
 from repro.logic import Instance, parse_instance, parse_theory
 from repro.logic.atoms import Atom
 from repro.logic.signature import Predicate
@@ -390,6 +394,34 @@ class TestPropertyEquivalence:
             current = (current - retract) | add
             check_maintained(result, current)
 
+    @pytest.mark.parametrize("backend", ["memory", "columnar"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        base=st.lists(loop_edges, min_size=2, max_size=7),
+        script=st.lists(
+            st.tuples(
+                st.lists(loop_edges, max_size=2), st.lists(loop_edges, max_size=2)
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_skolem_carried_state_invariants(self, backend, base, script):
+        # The columnar probes read the carried mirror: a Skolem theory
+        # checks it holds exactly the instance after every step.
+        current = set(base)
+        result = chase(
+            TAGGED, Instance(sorted(current, key=repr)), budget=BUDGET, backend=backend
+        )
+        for add, retract in script:
+            add = set(add) - set(retract)
+            retract = set(retract) & current
+            result = incremental_update(
+                result, add=add, retract=retract, budget=BUDGET, backend=backend
+            ).result
+            current = (current - retract) | add
+            check_maintained(result, current)
+
     @staticmethod
     def _check_store_updates(theory, base, script):
         """After every step: store digest == scratch == incremental_update."""
@@ -420,6 +452,147 @@ class TestPropertyEquivalence:
         # A Skolem head probed through its term's children, and a
         # two-atom body joining a Skolem fact with a base edge.
         self._check_store_updates(TAGGED, base, script)
+
+
+# ----------------------------------------------------------------------
+# Re-derive probes: the object search and the columnar kernel
+# ----------------------------------------------------------------------
+# name -> (theory, base, a first add, the update's add and retraction,
+# its probe count, the atoms its probes bring back).  Each re-derivable
+# atom's recorded derivation is fixed by theory order or by the first
+# add, so the cone does not depend on the hash seed.
+ROADS = parse_theory("P(x) -> Q(x)\nR(x) -> Q(x)\nQ(x) -> S(x)", name="roads")
+PROBE_CASES = {
+    # Tag(b, f(b)) was derived from T(a, b) alone; after E(d, b) comes
+    # in, its probe binds y through the Skolem term's child and hits
+    # T(d, b).
+    "skolem": (
+        TAGGED,
+        "E(a, b). E(b, c).",
+        ["E(d, b)."],
+        [],
+        ["E(a, b)."],
+        6,  # T(a, b) and T(a, c) twice, Tag(b, f(b)) and Seen(c) once
+        {"Tag(b,f(b))"},
+    ),
+    # R(a) came from P(a) (the first rule); the second rule's body
+    # constant keeps L(c, spoke) out of its witness.
+    "body-constant": (
+        parse_theory(
+            "P(x) -> R(x)\nE(x, y), L(y, 'hub') -> R(x)\nR(x) -> S(x)",
+            name="hub",
+        ),
+        "P(a). E(a, b). L(b, hub). E(a, c). L(c, spoke).",
+        [],
+        [],
+        ["P(a)."],
+        3,  # R(a) under both heads, S(a) once
+        {"R(a)"},
+    ),
+    # The diagonal head R(x, x) binds R(a, a) and rejects R(a, b).
+    "repeated-head-variable": (
+        parse_theory(
+            "E(x, y) -> R(x, y)\nN(x) -> R(x, x)\nR(x, y) -> S(x)", name="diag"
+        ),
+        "E(a, a). E(a, b). N(a).",
+        [],
+        [],
+        ["E(a, a).", "E(a, b)."],
+        4,  # R(a, a) under both heads, R(a, b) and S(a) once
+        {"R(a,a)"},
+    ),
+    # The only witness of Q(a) is a fact the same update adds: the
+    # probes see the survivors plus the new base, carried mirror too.
+    "new-base-witness": (
+        ROADS,
+        "P(a). P(b).",
+        ["R(b)."],
+        ["R(a)."],
+        ["P(a)."],
+        3,  # Q(a) under both heads, S(a) once
+        {"Q(a)"},
+    ),
+}
+
+
+def check_derivation(result, item) -> None:
+    """``item``'s recorded derivation: the skolemized head under sigma
+    gives ``item``, and the body image lies in the instance."""
+    derivation = result.derivations[item]
+    assert item in apply_rule(skolemize(derivation.rule), derivation.mapping())
+    assert all(parent in result.instance for parent in derivation.body_image())
+
+
+def _shape(item) -> str:
+    """``item``'s text with each Skolem functor written ``f``."""
+    return re.sub(r"f_\w+\(", "f(", str(item))
+
+
+class TestProbeBackends:
+    @pytest.mark.parametrize("case", sorted(PROBE_CASES))
+    def test_backends_probe_alike(self, case):
+        theory, text, first, add, retract, probes, back = PROBE_CASES[case]
+        base = set(parse_instance(text))
+        run = chase(theory, Instance(sorted(base, key=repr)), budget=BUDGET)
+        if first:
+            # Leaves a carried mirror, which the columnar update takes.
+            run = incremental_update(
+                run, add=[fact(item) for item in first], budget=BUDGET
+            ).result
+            base |= {fact(item) for item in first}
+        add = [fact(item) for item in add]
+        retract = [fact(item) for item in retract]
+        seen = {}
+        for backend in ("columnar", "memory"):
+            outcome = incremental_update(
+                run, add=add, retract=retract, budget=BUDGET, backend=backend
+            )
+            result = outcome.result
+            check_maintained(result, (base - set(retract)) | set(add))
+            # The probes' hits are the round after the surviving rounds.
+            probed = result.round_added[len(run.round_added)]
+            for item in probed:
+                check_derivation(result, item)
+            delta = {
+                name: count
+                for name, count in outcome.stats.counters.items()
+                if name.startswith("delta.")
+            }
+            seen[backend] = (delta, probed)
+        # Over-deleted, probes, re-derived and rounds alike: a probe that
+        # missed a witness would leave its atom to a later round.
+        assert seen["memory"] == seen["columnar"]
+        delta, probed = seen["columnar"]
+        assert delta["delta.rederive_probes"] == probes
+        assert {_shape(item) for item in probed} == back
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_columnar_probes_run_no_object_search(self, monkeypatch, carried):
+        # Q(a) was derived from P(a) (theory order); its probe finds R(a).
+        base = {fact("P(a)."), fact("R(a).")}
+        plain = chase(ROADS, Instance(sorted(base, key=repr)), budget=BUDGET)
+        run = plain
+        if carried:
+            run = incremental_update(plain, add=[fact("P(b).")], budget=BUDGET).result
+            base.add(fact("P(b)."))
+            assert run._maintenance.mirror is not None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("object homomorphism search on the kernel path")
+
+        monkeypatch.setattr(repro.chase.engine, "iter_pattern_homomorphisms", refuse)
+        monkeypatch.setattr(repro.logic.homomorphism, "_search", refuse)
+        with pytest.raises(AssertionError, match="object homomorphism search"):
+            incremental_update(
+                plain, retract=[fact("P(a).")], budget=BUDGET, backend="memory"
+            )
+        outcome = incremental_update(
+            run, retract=[fact("P(a).")], budget=BUDGET, backend="columnar"
+        )
+        monkeypatch.undo()
+        assert outcome.stats.counters["delta.rederive_probes"] == 3
+        assert outcome.rederived == 2  # Q(a) from its probe, S(a) from a round
+        check_maintained(outcome.result, base - {fact("P(a).")})
 
 
 # ----------------------------------------------------------------------
